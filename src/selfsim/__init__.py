@@ -46,6 +46,7 @@ from selfsim.shooting import (
     classify,
     find_k_star,
     nonexistence_sweep,
+    shoot,
 )
 from selfsim.profile import (
     InterfaceFit,
@@ -99,6 +100,7 @@ __all__ = [
     "classify",
     "find_k_star",
     "nonexistence_sweep",
+    "shoot",
     "InterfaceFit",
     "InterfaceType",
     "Profile",

@@ -21,7 +21,7 @@ from selfsim.params import (
 )
 from selfsim.phaseplane import PhasePoint, launch_slope
 from selfsim.profile import ReconstructionError, fit_interface, reconstruct
-from selfsim.shooting import BracketError, find_k_star, nonexistence_sweep
+from selfsim.shooting import BracketError, find_k_star, nonexistence_sweep, shoot
 from selfsim.solution import (
     convection_coefficient,
     make_solution,
@@ -49,12 +49,14 @@ def _json_dump(doc: dict, path: str | None) -> None:
 
 
 def _write_csv(path: str, meta: dict, columns: list[str], rows) -> None:
+    """Metadata header, column names, then rows; string cells are verbatim."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, val in meta.items():
             fh.write(f"# {key} = {val}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v)
+                              for v in row) + "\n")
 
 
 def _model_meta(params: ModelParams) -> dict:
@@ -142,8 +144,7 @@ def _cmd_classify(args) -> int:
     params = _model_from_args(args)
     sp = _shooting_from_args(params, args)
     opts = _opts_from_args(args)
-    orbit = integrate_from_p0(params, sp.K, opts)
-    end = orbit.termination
+    end = shoot(params, sp.K, opts).termination
     doc = {
         "schema_version": SCHEMA_VERSION,
         **_model_meta(params),
@@ -216,12 +217,8 @@ def _cmd_sweep(args) -> int:
         args.out + ".csv",
         {**_model_meta(params), "regime": regime(params).value},
         ["K", "tag"],
-        [],
+        ((k, t.value) for k, t in probes),
     )
-    # rows carry a string column; write them without float formatting
-    with open(args.out + ".csv", "a", encoding="utf-8", newline="\n") as fh:
-        for k, t in probes:
-            fh.write(f"{_fmt(k)},{t.value}\n")
     _json_dump(doc, args.out + ".json")
     return 0
 

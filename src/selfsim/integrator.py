@@ -1,7 +1,8 @@
 """Adaptive integration of the planar system with endpoint classification.
 
-Orbits are advanced in the autonomous time eta with an embedded adaptive
-Runge-Kutta pair (scipy's RK45).  The free boundary of the profile is only
+Orbits of the planar system, whose one right-hand side is
+``phaseplane.planar_rhs``, are advanced in the autonomous time eta with an
+embedded adaptive Runge-Kutta pair (scipy's RK45).  The free boundary of the profile is only
 reached as X -> infinity, so classification happens at escape:
 
 * an orbit plunging far below the ray Y = -(m-1)X is conclusively headed
@@ -24,25 +25,33 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from selfsim.params import DomainError, ModelParams, Regime, regime
-from selfsim.phaseplane import PhasePoint, critical_slopes, launch_slope
+from selfsim.phaseplane import (
+    PhasePoint,
+    critical_slopes,
+    launch_slope,
+    planar_rhs,
+)
+
+#: half-width, in units of m - 1, of the slope windows that match an escape
+#: slope to a ray slope at infinity
+RATIO_WINDOW = 0.15
+#: points of the shared X-grid on which orbit_monotonicity_check compares
+MONOTONICITY_GRID = 60
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    h_init: float | None = None
-    h_max: float = math.inf
     eta_max: float = 1e3
     X_big: float = 1e4
-    ratio_window: float = 0.15
     launch_offset: float = 1e-6
     #: cap on ln X for the slope-chart escape phase
     ln_x_cap: float = 600.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "h_max", "eta_max", "X_big",
-                     "ratio_window", "launch_offset", "ln_x_cap"):
+        for name in ("rel_tol", "abs_tol", "eta_max", "X_big",
+                     "launch_offset", "ln_x_cap"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
         if self.X_big < 1e3:
@@ -95,24 +104,6 @@ def launch_from_p0(
     return PhasePoint(X=delta, Y=Y)
 
 
-def _rhs_xy(params: ModelParams, K: float):
-    m, N, q = params.m, params.N, params.power_ratio
-
-    def rhs(eta, y):
-        X, Y = y
-        Xc = max(X, 0.0)
-        return (
-            X * (2.0 - (m - 1.0) * Y),
-            -m * Y * Y
-            - (N - 2.0) * Y
-            + 2.0 * X
-            - (m - 1.0) * X * Y
-            - K * Xc**q,
-        )
-
-    return rhs
-
-
 def _rhs_slope(params: ModelParams, K: float):
     # slope chart: u = Y/X, s = ln X; state is (u, eta)
     m, N, q = params.m, params.N, params.power_ratio
@@ -131,9 +122,7 @@ def _rhs_slope(params: ModelParams, K: float):
     return rhs
 
 
-def _classify_slope(
-    params: ModelParams, K: float, u: float, win: float
-) -> OrbitTag:
+def _classify_slope(params: ModelParams, K: float, u: float) -> OrbitTag:
     """Match an escape slope u = Y/X against the infinity ray slopes."""
     m = params.m
     reg = regime(params)
@@ -143,9 +132,9 @@ def _classify_slope(
             y1, y2 = slopes
             if u > -0.5 * (m - 1.0):
                 return OrbitTag.TO_Q1
-            if abs(u - y2) < win * (m - 1.0) and u > y2:
+            if abs(u - y2) < RATIO_WINDOW * (m - 1.0) and u > y2:
                 return OrbitTag.TO_Q4
-            if u < y2 - win * (m - 1.0):
+            if u < y2 - RATIO_WINDOW * (m - 1.0):
                 return OrbitTag.TO_Q3
             return OrbitTag.UNRESOLVED
         # no Q1/Q4: only a plunge to Q3 is conclusive
@@ -153,15 +142,15 @@ def _classify_slope(
             return OrbitTag.TO_Q3
         return OrbitTag.UNRESOLVED
     if reg is Regime.SUBCRITICAL:
-        if u < -(m - 1.0) * (1.0 + win):
+        if u < -(m - 1.0) * (1.0 + RATIO_WINDOW):
             return OrbitTag.TO_Q3
         return OrbitTag.UNRESOLVED
     # supercritical
-    if u > -(m - 1.0) / m + win * (m - 1.0):
+    if u > -(m - 1.0) / m + RATIO_WINDOW * (m - 1.0):
         return OrbitTag.TO_Q1
-    if abs(u + (m - 1.0)) < win * (m - 1.0):
+    if abs(u + (m - 1.0)) < RATIO_WINDOW * (m - 1.0):
         return OrbitTag.TO_Q4
-    if u < -(m - 1.0) * (1.0 + win):
+    if u < -(m - 1.0) * (1.0 + RATIO_WINDOW):
         return OrbitTag.TO_Q3
     return OrbitTag.UNRESOLVED
 
@@ -183,7 +172,6 @@ def integrate(
         raise DomainError(f"K must be positive, got {K}")
     opts = opts or IntegratorOptions()
     m = params.m
-    win = opts.ratio_window
 
     def ev_big(eta, y):
         return y[0] - opts.X_big
@@ -198,19 +186,14 @@ def integrate(
     ev_deep.terminal = True
     ev_deep.direction = -1.0
 
-    kwargs = {}
-    if opts.h_init is not None:
-        kwargs["first_step"] = opts.h_init
     sol = solve_ivp(
-        _rhs_xy(params, K),
+        planar_rhs(params, K),
         (0.0, opts.eta_max),
         [start.X, start.Y],
         method="RK45",
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
-        max_step=opts.h_max,
         events=[ev_big, ev_deep],
-        **kwargs,
     )
     eta = sol.t
     X, Y = sol.y
@@ -285,7 +268,7 @@ def integrate(
             tag = OrbitTag.TO_Q3
             diag = "plunged below the Q4 ray (slope chart)"
         else:
-            tag = _classify_slope(params, K, u_final, win)
+            tag = _classify_slope(params, K, u_final)
             if sol2.status == -1:
                 diag = f"slope chart stalled at ln X = {s_arr[-1]:.1f}"
             elif tag is OrbitTag.UNRESOLVED:
@@ -316,7 +299,6 @@ def orbit_monotonicity_check(
     K1: float,
     K2: float,
     opts: IntegratorOptions | None = None,
-    n_grid: int = 60,
 ) -> bool:
     """Check that the P0-orbit moves down pointwise as K increases.
 
@@ -340,7 +322,7 @@ def orbit_monotonicity_check(
     hi = min(min(x[-1] for x in xs), opts.X_big) * 0.99
     if not hi > lo:
         raise DomainError("orbits do not share a common X range")
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, MONOTONICITY_GRID)
     y_on_grid = [np.interp(grid, x, y) for x, y in zip(xs, ys)]
     # near the launch point the two orbits agree to O(delta^q), which can be
     # below double precision; allow machine-level ties there but demand a

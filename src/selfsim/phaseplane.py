@@ -56,28 +56,34 @@ class CriticalPoint:
     launch_direction: tuple[float, float] | None = None
 
 
-def _frac_power(X: float, q: float) -> float:
-    # X = 0 is a removable point of the fractional term for q > 0
-    if X == 0.0:
-        return 0.0
-    return math.exp(q * math.log(X))
+def planar_rhs(params: ModelParams, K: float):
+    """The planar system as an ODE right-hand side ``rhs(eta, (X, Y))``.
+
+    A solver may overshoot the invariant axis X = 0 by rounding; the
+    fractional term then sees X clamped to 0.
+    """
+    m, N, q = params.m, params.N, params.power_ratio
+
+    def rhs(eta, y):
+        X, Y = y
+        Xc = max(X, 0.0)
+        return (
+            X * (2.0 - (m - 1.0) * Y),
+            -m * Y * Y
+            - (N - 2.0) * Y
+            + 2.0 * X
+            - (m - 1.0) * X * Y
+            - K * Xc**q,
+        )
+
+    return rhs
 
 
 def vector_field(P: PhasePoint, params: ModelParams, K: float) -> tuple[float, float]:
     """Right-hand side (dX, dY) of the planar system at P."""
-    X, Y = P.X, P.Y
-    if X < 0.0:
-        raise DomainError(f"X must be nonnegative, got {X}")
-    m, N = params.m, params.N
-    dX = X * (2.0 - (m - 1.0) * Y)
-    dY = (
-        -m * Y * Y
-        - (N - 2.0) * Y
-        + 2.0 * X
-        - (m - 1.0) * X * Y
-        - K * _frac_power(X, params.power_ratio)
-    )
-    return dX, dY
+    if P.X < 0.0:
+        raise DomainError(f"X must be nonnegative, got {P.X}")
+    return planar_rhs(params, K)(0.0, (P.X, P.Y))
 
 
 def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
@@ -88,6 +94,7 @@ def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
     N = 1: P0 = (0,0) unstable node and P1 = (0, 1/m) saddle.
     """
     m, N = params.m, params.N
+    launch = _unit(1.0, launch_slope(params))
     if N >= 3:
         return [
             CriticalPoint(
@@ -95,7 +102,7 @@ def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
                 kind=PointKind.SADDLE,
                 eigenvalues=(2.0, 2.0 - N),
                 location=PhasePoint(0.0, 0.0),
-                launch_direction=_unit(1.0, 2.0 / N),
+                launch_direction=launch,
             ),
             CriticalPoint(
                 label="P1",
@@ -111,7 +118,7 @@ def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
                 kind=PointKind.SADDLE_NODE,
                 eigenvalues=(2.0, 0.0),
                 location=PhasePoint(0.0, 0.0),
-                launch_direction=_unit(1.0, 1.0),
+                launch_direction=launch,
             )
         ]
     # N == 1
@@ -121,7 +128,7 @@ def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
             kind=PointKind.UNSTABLE_NODE,
             eigenvalues=(2.0, 1.0),
             location=PhasePoint(0.0, 0.0),
-            launch_direction=_unit(1.0, 2.0),
+            launch_direction=launch,
         ),
         CriticalPoint(
             label="P1",
@@ -177,14 +184,13 @@ def infinity_critical_points(params: ModelParams, K: float) -> list[CriticalPoin
             slope=-(m - 1.0),
         )
         return [q1, q2, q3, q4]
-    # critical regime: slopes are the roots of y^2 + (m-1)y + K = 0
-    disc = (m - 1.0) ** 2 - 4.0 * K
-    if disc < 0.0:
+    # critical regime: Q1/Q4 exist only while their slopes are real
+    slopes = critical_slopes(params, K)
+    if slopes is None:
         return [q2, q3]
-    root = math.sqrt(disc)
-    y1 = 0.5 * (-(m - 1.0) + root)
-    y2 = 0.5 * (-(m - 1.0) - root)
-    if disc == 0.0:
+    y1, y2 = slopes
+    root = y1 - y2
+    if root == 0.0:
         kinds = (PointKind.SADDLE_NODE, PointKind.SADDLE_NODE)
     else:
         kinds = (PointKind.STABLE_NODE, PointKind.SADDLE)
@@ -232,7 +238,7 @@ def isocline(X: float, params: ModelParams, K: float) -> IsoclineBranches:
         (m - 1.0) ** 2 * X * X
         + 2.0 * (m * N + 2.0 * m - N + 2.0) * X
         + (N - 2.0) ** 2
-        - 4.0 * K * m * _frac_power(X, params.power_ratio)
+        - 4.0 * K * m * X**params.power_ratio
     )
     if delta < 0.0:
         return IsoclineBranches(X=X, delta=delta, Y1=None, Y2=None)

@@ -7,12 +7,16 @@ The profile solves
 with f(0) = 1, f'(0) = 0.  Integration starts from a series seed at a
 scale-aware offset, stops when f drops below a floor (the equation loses
 Lipschitz continuity at f = 0), and the interface position xi0 is
-extrapolated from the vanishing power law of the tail.
+extrapolated from the vanishing power law of the tail.  A reconstructed
+profile evaluates anywhere through one private evaluator: the series below
+the seed offset, the dense ODE solution up to the last sample, the tail
+power law up to xi0 and 0 beyond; ``rescale`` composes it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +34,14 @@ from selfsim.params import (
     alpha_beta_from_k,
     regime,
 )
+
+
+#: integration stops once f drops below this floor
+F_FLOOR = 1e-8
+#: samples on the uniform bulk grid and on the geometric cluster at the tail
+N_UNIFORM, N_CLUSTER = 40000, 5000
+#: fit_interface fits the tail band f < TAIL_WINDOW * f(0)
+TAIL_WINDOW = 0.05
 
 
 class ReconstructionError(RuntimeError):
@@ -60,16 +72,21 @@ class Profile:
     f: np.ndarray
     xi0: float | None = None
     interface_fit: InterfaceFit | None = None
-    # private evaluation helpers: dense ODE solution on [seed_eps, xi_last],
-    # series coefficient below seed_eps, tail power law up to xi0
-    _dense: object | None = field(default=None, repr=False, compare=False)
-    _seed_eps: float = field(default=0.0, repr=False, compare=False)
-    _tail: tuple[float, float] | None = field(
+    #: f on a 1-d array of xi >= 0, as built by reconstruct or rescale; a
+    #: profile built from samples alone gets ``_sampled`` of its samples
+    _eval: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False
-    )  # (exponent, constant) of f ~ C*(xi0 - xi)^e
-    _scale: tuple[float, float] = field(
-        default=(1.0, 1.0), repr=False, compare=False
-    )  # (amplitude, argument) factors accumulated by rescaling
+    )
+
+    def __post_init__(self) -> None:
+        if self._eval is None:
+            object.__setattr__(self, "_eval", _sampled(self.xi, self.f))
+
+
+def _sampled(xi: np.ndarray, f: np.ndarray):
+    """PCHIP interpolant of ln f over the samples, 0 past the last one."""
+    interp = PchipInterpolator(xi, np.log(f), extrapolate=False)
+    return lambda x: np.where(x <= xi[-1], np.exp(interp(x)), 0.0)
 
 
 def _series_coeff(params: ModelParams, alpha: float) -> float:
@@ -108,9 +125,6 @@ def reconstruct(
     params: ModelParams,
     K: float,
     opts: IntegratorOptions | None = None,
-    f_floor: float = 1e-8,
-    n_uniform: int = 40000,
-    n_cluster: int = 5000,
 ) -> Profile:
     """Integrate the profile ODE from the series seed down to the interface.
 
@@ -134,7 +148,7 @@ def reconstruct(
     xi_max = 1e5 * scale
 
     def ev_floor(xi, y):
-        return y[0] - f_floor
+        return y[0] - F_FLOOR
 
     ev_floor.terminal = True
     ev_floor.direction = -1.0
@@ -175,26 +189,20 @@ def reconstruct(
         xi_f = float(sol.t[-1])
     else:
         raise ReconstructionError(
-            f"floor {f_floor} not reached by xi = {xi_max:.3g}"
+            f"floor {F_FLOOR} not reached by xi = {xi_max:.3g}"
         )
 
     dense = sol.sol
-
-    def f_of(x):
-        return np.clip(dense(np.atleast_1d(x))[0], 0.0, None)
-
-    xi0, tail_exp, tail_const = _extrapolate_interface(
-        params, dense, xi_f, f_floor
-    )
+    xi0, tail_exp, tail_const = _extrapolate_interface(params, dense, xi_f)
 
     # sample grid: uniform bulk + geometric cluster approaching xi_f
     split = min(0.985 * xi_f, xi_f - 1e-3 * (xi0 - eps))
-    bulk = np.linspace(eps, split, n_uniform)
-    gaps = np.geomspace(xi0 - split, xi0 - xi_f, n_cluster)
+    bulk = np.linspace(eps, split, N_UNIFORM)
+    gaps = np.geomspace(xi0 - split, xi0 - xi_f, N_CLUSTER)
     cluster = xi0 - gaps
     grid = np.unique(np.concatenate([bulk, cluster]))
     grid = grid[(grid >= eps) & (grid <= xi_f)]
-    f_vals = f_of(grid)
+    f_vals = np.clip(dense(grid)[0], 0.0, None)
     keep = f_vals > 0.0
     grid, f_vals = grid[keep], f_vals[keep]
 
@@ -205,14 +213,36 @@ def reconstruct(
         xi=grid,
         f=f_vals,
         xi0=xi0,
-        _dense=dense,
-        _seed_eps=eps,
-        _tail=(tail_exp, tail_const),
+        _eval=_reconstructed(params, alpha, dense, eps, grid[-1], xi0,
+                             tail_exp, tail_const),
     )
 
 
+def _reconstructed(params: ModelParams, alpha: float, dense, eps: float,
+                   xi_last: float, xi0: float, e: float, C: float):
+    """Series below eps, dense solution up to xi_last, C*(xi0 - xi)^e up to
+    xi0, and 0 beyond."""
+    c = _series_coeff(params, alpha)
+    power = 1.0 / (params.m - 1.0)
+
+    def f_of(x):
+        out = np.zeros_like(x)
+        head = x < eps
+        if np.any(head):
+            out[head] = (1.0 + c * x[head] ** 2) ** power
+        mid = (x >= eps) & (x <= xi_last)
+        if np.any(mid):
+            out[mid] = np.clip(dense(x[mid])[0], 0.0, None)
+        tail = (x > xi_last) & (x < xi0)
+        if np.any(tail):
+            out[tail] = C * (xi0 - x[tail]) ** e
+        return out
+
+    return f_of
+
+
 def _extrapolate_interface(
-    params: ModelParams, dense, xi_f: float, f_floor: float
+    params: ModelParams, dense, xi_f: float
 ) -> tuple[float, float, float]:
     """Extrapolate xi0 from the vanishing power law of the tail.
 
@@ -229,7 +259,7 @@ def _extrapolate_interface(
     xi_pts = xi_f - gaps[::-1]
     vals = dense(xi_pts)
     f_pts, g_pts = vals[0], vals[1]
-    sel = (f_pts > 2.0 * f_floor) & (f_pts < 0.05) & (g_pts < 0.0)
+    sel = (f_pts > 2.0 * F_FLOOR) & (f_pts < 0.05) & (g_pts < 0.0)
     if np.count_nonzero(sel) < 8:
         sel = (f_pts > 0.0) & (g_pts < 0.0)
     if np.count_nonzero(sel) < 4:
@@ -258,45 +288,10 @@ def _extrapolate_interface(
 
 def evaluate_f(profile: Profile, xi) -> np.ndarray:
     """Evaluate the profile at arbitrary xi >= 0 (0 beyond the interface)."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.zeros_like(xi_arr)
-    eps = profile._seed_eps
-    xi_last = profile.xi[-1]
-    xi0 = profile.xi0 if profile.xi0 is not None else xi_last
-
-    small = xi_arr < eps
-    if np.any(small):
-        c = _series_coeff(profile.params, profile.alpha)
-        fac, lam = profile._scale
-        out[small] = fac * (1.0 + c * (lam * xi_arr[small]) ** 2) ** (
-            1.0 / (profile.params.m - 1.0)
-        )
-    mid = (xi_arr >= eps) & (xi_arr <= xi_last)
-    if np.any(mid):
-        if profile._dense is not None:
-            out[mid] = np.clip(profile._dense(xi_arr[mid])[0], 0.0, None)
-        else:
-            interp = _log_interp(profile)
-            out[mid] = np.exp(interp(xi_arr[mid]))
-    tail = (xi_arr > xi_last) & (xi_arr < xi0)
-    if np.any(tail) and profile._tail is not None:
-        e, C = profile._tail
-        out[tail] = C * (xi0 - xi_arr[tail]) ** e
+    out = profile._eval(np.atleast_1d(np.asarray(xi, dtype=float)))
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out[0])
     return out
-
-
-_interp_cache: dict[int, PchipInterpolator] = {}
-
-
-def _log_interp(profile: Profile) -> PchipInterpolator:
-    key = id(profile)
-    if key not in _interp_cache:
-        _interp_cache[key] = PchipInterpolator(
-            profile.xi, np.log(profile.f), extrapolate=False
-        )
-    return _interp_cache[key]
 
 
 def _fd_derivs(x: np.ndarray, v: np.ndarray, x_at: float) -> tuple[float, float]:
@@ -340,17 +335,17 @@ def ode_residual(profile: Profile, index: int) -> float:
 FIT_WINDOW = 0.1
 
 
-def fit_interface(profile: Profile, window: float = 0.05) -> InterfaceFit:
+def fit_interface(profile: Profile) -> InterfaceFit:
     """Fit f ~ C*(xi0 - xi)^e on the tail with xi0 jointly optimized.
 
-    ``window`` selects the tail band f < window * f(0).  The exponent is a
+    The fit uses the tail band f < TAIL_WINDOW * f(0).  The exponent is a
     log-log regression slope; xi0 is chosen by minimizing the regression
     residual (golden-section in the gap beyond the last sample).  The
     exponent is then matched against 1/(m-1), 1/(1-p) and 1/m.
     """
     xi, f = profile.xi, profile.f
     f0 = float(f[0])
-    sel = f < window * f0
+    sel = f < TAIL_WINDOW * f0
     if np.count_nonzero(sel) < 20:
         raise DomainError("need at least 20 samples below the fit window")
     xs, fs = xi[sel], f[sel]
@@ -412,15 +407,7 @@ def rescale(profile: Profile, lam: float) -> Profile:
             constant=fit.constant * fac * lam**fit.exponent,
             type_label=fit.type_label,
         )
-    tail = profile._tail
-    if tail is not None:
-        e, C = tail
-        tail = (e, C * fac * lam**e)
-    dense = profile._dense
-    wrapped = None
-    if dense is not None:
-        def wrapped(x):  # noqa: E731 - simple adaptor
-            return fac * np.asarray(dense(np.asarray(x) * lam))
+    base = profile._eval
     return Profile(
         params=profile.params,
         alpha=profile.alpha,
@@ -429,8 +416,5 @@ def rescale(profile: Profile, lam: float) -> Profile:
         f=profile.f * fac,
         xi0=xi0,
         interface_fit=fit,
-        _dense=wrapped,
-        _seed_eps=profile._seed_eps / lam,
-        _tail=tail,
-        _scale=(profile._scale[0] * fac, profile._scale[1] * lam),
+        _eval=lambda x: fac * base(lam * x),
     )

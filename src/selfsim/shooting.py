@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from selfsim.integrator import (
     IntegratorOptions,
+    Orbit,
     OrbitTag,
     integrate_from_p0,
     tightened,
@@ -45,25 +46,34 @@ class ClassificationReport:
     notes: str = ""
 
 
-def classify(
-    params: ModelParams,
-    K: float,
-    opts: IntegratorOptions | None = None,
-    retries: int = 2,
-) -> OrbitTag:
-    """Endpoint tag of the P0-orbit for a single K.
+#: retries with tightened options before an orbit is reported unresolved
+RETRIES = 2
+
+
+def shoot(
+    params: ModelParams, K: float, opts: IntegratorOptions | None = None
+) -> Orbit:
+    """The P0-orbit for a single K, retried while its endpoint is unresolved.
 
     Unresolved outcomes (slow saddle passage) are retried with tightened
-    tolerances and a larger ln X budget before being reported.
+    tolerances and a larger ln X budget; the last orbit integrated is
+    returned.
     """
     opts = opts or IntegratorOptions()
-    tag = integrate_from_p0(params, K, opts).termination.tag
-    for _ in range(retries):
-        if tag is not OrbitTag.UNRESOLVED:
+    orbit = integrate_from_p0(params, K, opts)
+    for _ in range(RETRIES):
+        if orbit.termination.tag is not OrbitTag.UNRESOLVED:
             break
         opts = tightened(opts)
-        tag = integrate_from_p0(params, K, opts).termination.tag
-    return tag
+        orbit = integrate_from_p0(params, K, opts)
+    return orbit
+
+
+def classify(
+    params: ModelParams, K: float, opts: IntegratorOptions | None = None
+) -> OrbitTag:
+    """Endpoint tag of the P0-orbit for a single K, after ``shoot``'s retries."""
+    return shoot(params, K, opts).termination.tag
 
 
 _K_MIN, _K_MAX = 1e-6, 1e6

@@ -54,11 +54,15 @@ def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
     def u(rr, tt):
         return evaluate_u(sol, abs(rr), tt)
 
-    u_t = (u(r, t + h) - u(r, t - h)) / (2.0 * h)
-    w = [u(r - h, t) ** m, u(r, t) ** m, u(r + h, t) ** m]
-    w_r = (w[2] - w[0]) / (2.0 * h)
-    w_rr = (w[2] - 2.0 * w[1] + w[0]) / (h * h)
-    return float(u_t - w_rr - (N - 1.0) / r * w_r - r**sigma * u(r, t) ** p)
+    u0 = u(r, t)
+    u_t, _ = _central(u(r, t - h), u0, u(r, t + h), h)
+    w_r, w_rr = _central(u(r - h, t) ** m, u0**m, u(r + h, t) ** m, h)
+    return float(u_t - w_rr - (N - 1.0) / r * w_r - r**sigma * u0**p)
+
+
+def _central(lo: float, mid: float, hi: float, h: float) -> tuple[float, float]:
+    """First and second central differences of samples at x - h, x, x + h."""
+    return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / (h * h)
 
 
 def sphere_area(N: int) -> float:
@@ -121,14 +125,18 @@ def reaction_coefficient(params: ModelParams) -> float:
     return 2.0 * m * (N * (m - 1.0) + 2.0) / (m - 1.0) ** 2
 
 
-def to_traveling_wave(sol: EternalSolution, n: int = 2001) -> TravelingWave:
+#: points of the z-grid on which to_traveling_wave samples F
+TW_POINTS = 2001
+
+
+def to_traveling_wave(sol: EternalSolution) -> TravelingWave:
     """Map the eternal solution to its traveling wave, speed c = beta."""
     profile = sol.profile
     if profile.xi0 is None:
         raise DomainError("profile has no interface")
     z_lo = math.log(profile.xi[0])
     z_hi = math.log(profile.xi0)
-    z = np.linspace(z_lo, z_hi + 0.1 * (z_hi - z_lo), n)
+    z = np.linspace(z_lo, z_hi + 0.1 * (z_hi - z_lo), TW_POINTS)
     F = tw_value_on(profile, z)
     return TravelingWave(c=sol.beta, z_grid=z, F=F, params=profile.params,
                          profile=profile)
@@ -139,6 +147,18 @@ def tw_value_on(profile: Profile, z) -> np.ndarray:
     gamma = 2.0 / (profile.params.m - 1.0)
     z_arr = np.asarray(z, dtype=float)
     return np.exp(-gamma * z_arr) * evaluate_f(profile, np.exp(z_arr))
+
+
+def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
+    """The five terms of the traveling-wave operator at z, by central
+    differences with step h."""
+    params = tw.params
+    F = [float(tw_value_on(tw.profile, zz)) for zz in (z - h, z, z + h)]
+    w = [v ** params.m for v in F]
+    Fp, _ = _central(*F, h)
+    w_p, w_pp = _central(*w, h)
+    return (tw.c * Fp, w_pp, convection_coefficient(params) * w_p,
+            reaction_coefficient(params) * w[1], F[1] ** params.p)
 
 
 def tw_residual(tw: TravelingWave, z: float, h: float) -> float:
@@ -153,28 +173,10 @@ def tw_residual(tw: TravelingWave, z: float, h: float) -> float:
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    params = tw.params
-    a = convection_coefficient(params)
-    b = reaction_coefficient(params)
-    F = [tw_value_on(tw.profile, z - h), tw_value_on(tw.profile, z),
-         tw_value_on(tw.profile, z + h)]
-    F = [float(v) for v in F]
-    w = [v ** params.m for v in F]
-    Fp = (F[2] - F[0]) / (2.0 * h)
-    w_p = (w[2] - w[0]) / (2.0 * h)
-    w_pp = (w[2] - 2.0 * w[1] + w[0]) / (h * h)
-    return float(tw.c * Fp + w_pp + a * w_p + b * w[1] + F[1] ** params.p)
+    advect, diffuse, convect, react, source = _tw_terms(tw, z, h)
+    return float(advect + diffuse + convect + react + source)
 
 
 def tw_residual_scale(tw: TravelingWave, z: float, h: float) -> float:
     """Magnitude of the largest term entering the residual at z."""
-    params = tw.params
-    a = convection_coefficient(params)
-    b = reaction_coefficient(params)
-    F = [float(tw_value_on(tw.profile, zz)) for zz in (z - h, z, z + h)]
-    w = [v ** params.m for v in F]
-    Fp = (F[2] - F[0]) / (2.0 * h)
-    w_p = (w[2] - w[0]) / (2.0 * h)
-    w_pp = (w[2] - 2.0 * w[1] + w[0]) / (h * h)
-    return max(abs(tw.c * Fp), abs(w_pp), abs(a * w_p), abs(b * w[1]),
-               abs(F[1] ** params.p))
+    return max(abs(t) for t in _tw_terms(tw, z, h))

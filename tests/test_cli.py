@@ -38,6 +38,15 @@ def test_classify_deterministic(capsys):
     assert json.loads(out1)["tag"] == "ToQ3"
 
 
+def test_classify_retries_unresolved_orbit(capsys):
+    # just above K* = 1/16 the first orbit is still inconclusive at
+    # ln X = 600; the retry with tightened options resolves it, as in sweep
+    code, out, _ = run(capsys, "classify", "--m", "1.5", "--p", "0.5",
+                       "--N", "3", "--K", "0.06250033051920574")
+    assert code == 0
+    assert json.loads(out)["tag"] == "ToQ3"
+
+
 def test_find_kstar_json(capsys):
     code, out, _ = run(capsys, "find-kstar", "--m", "1.5", "--p", "0.5",
                        "--N", "3", "--tol-k", "1e-4")
@@ -56,10 +65,19 @@ def test_sweep_files(tmp_path, capsys):
     doc = json.loads((tmp_path / "sw.json").read_text())
     assert doc["regime"] == "subcritical"
     assert doc["all_to_q3"] is True
-    lines = (tmp_path / "sw.csv").read_text().splitlines()
-    assert lines[0].startswith("# m = ")
-    assert "K,tag" in lines
-    assert sum(line.endswith(",ToQ3") for line in lines) == 5
+    assert (tmp_path / "sw.csv").read_text() == (
+        "# m = 1.2\n"
+        "# p = 0.5\n"
+        "# N = 3\n"
+        "# sigma = 5.000000000000001\n"
+        "# regime = subcritical\n"
+        "K,tag\n"
+        "0.001,ToQ3\n"
+        "0.03162277660168379,ToQ3\n"
+        "1.0,ToQ3\n"
+        "31.622776601683793,ToQ3\n"
+        "1000.0,ToQ3\n"
+    )
 
 
 def test_profile_files(tmp_path, capsys):

@@ -99,10 +99,11 @@ def test_profile_matches_orbit(prof_fig3a):
 
     prof = prof_fig3a
     orbit = integrate_from_p0(SUPER, 0.1)
-    dense = prof._dense
     sel = (prof.xi > 0.1) & (prof.xi < 0.98 * prof.xi0)
     xi = prof.xi[sel][::200]
-    f, g = dense(xi)
+    f = evaluate_f(prof, xi)
+    d = 1e-5 * xi
+    g = (evaluate_f(prof, xi + d) - evaluate_f(prof, xi - d)) / (2.0 * d)
     X = (prof.alpha / (2.0 * SUPER.m)) * xi**2 * f ** (1.0 - SUPER.m)
     Y = xi * g / f
     ok = (X > 2.0 * orbit.X[0]) & (X < 5e3)
@@ -143,6 +144,49 @@ def test_rescale_symmetry(prof_mid, lam):
         return out
 
     assert worst(r) < 10.0 * max(worst(prof_mid), 1e-7)
+
+
+def _pieces(p):
+    """One xi in each piece of a reconstructed profile: series, dense
+    solution, tail power law, past xi0."""
+    return np.array([0.5 * p.xi[0], 0.5 * p.xi0,
+                     0.5 * (p.xi[-1] + p.xi0), 1.1 * p.xi0])
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_rescale_evaluates_every_piece(prof_mid, lam):
+    x = _pieces(prof_mid) / lam
+    want = lam ** (-2.0 / (SUPER.m - 1.0)) * evaluate_f(prof_mid, lam * x)
+    assert want[2] > 0.0 and want[3] == 0.0
+    assert np.allclose(evaluate_f(rescale(prof_mid, lam), x), want,
+                       rtol=1e-13, atol=0.0)
+
+
+def test_rescale_composes(prof_mid):
+    twice = rescale(rescale(prof_mid, 0.5), 6.0)
+    once = rescale(prof_mid, 3.0)
+    assert twice.xi0 == pytest.approx(once.xi0, rel=1e-14)
+    assert np.allclose(twice.xi, once.xi, rtol=1e-14, atol=0.0)
+    assert np.allclose(twice.f, once.f, rtol=1e-14, atol=0.0)
+    x = _pieces(once)
+    assert np.allclose(evaluate_f(twice, x), evaluate_f(once, x),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_sampled_profiles_evaluate_their_own_samples():
+    # a freed profile's id is often reused by the next one built, which
+    # must not see an interpolant of the earlier samples
+    xi = np.linspace(0.1, 1.0, 50)
+
+    def build(level):
+        return Profile(params=SUPER, alpha=1.0, beta=0.5, xi=xi,
+                       f=np.full_like(xi, level))
+
+    for k in range(20):
+        old = build(1.0 + k)
+        assert evaluate_f(old, 0.5) == pytest.approx(1.0 + k)
+        del old
+        assert evaluate_f(build(100.0 + k), 0.5) == pytest.approx(100.0 + k)
 
 
 def test_rescale_requires_positive_lambda(prof_mid):
