@@ -36,6 +36,7 @@ from selfsim.integrator import (
     Orbit,
     OrbitEnd,
     OrbitTag,
+    PhaseStats,
     integrate,
     launch_from_p0,
     orbit_monotonicity_check,
@@ -92,6 +93,7 @@ __all__ = [
     "Orbit",
     "OrbitEnd",
     "OrbitTag",
+    "PhaseStats",
     "integrate",
     "launch_from_p0",
     "orbit_monotonicity_check",

@@ -194,6 +194,9 @@ def _cmd_sweep(args) -> int:
 
     params = _model_from_args(args)
     opts = _opts_from_args(args)
+    if args.out is None:
+        print("sweep requires --out (file prefix)", file=sys.stderr)
+        return EXIT_FLAGS
     grid = _k_grid(args)
     if regime(params) is Regime.SUBCRITICAL:
         report = nonexistence_sweep(params, grid, opts)
@@ -210,9 +213,6 @@ def _cmd_sweep(args) -> int:
         "probes": [{"k": k, "tag": t.value} for k, t in probes],
         "notes": notes,
     }
-    if args.out is None:
-        print("sweep requires --out (file prefix)", file=sys.stderr)
-        return EXIT_FLAGS
     _write_csv(
         args.out + ".csv",
         {**_model_meta(params), "regime": regime(params).value},

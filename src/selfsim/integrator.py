@@ -1,9 +1,13 @@
 """Adaptive integration of the planar system with endpoint classification.
 
 Orbits of the planar system, whose one right-hand side is
-``phaseplane.planar_rhs``, are advanced in the autonomous time eta with an
-embedded adaptive Runge-Kutta pair (scipy's RK45).  The free boundary of the profile is only
-reached as X -> infinity, so classification happens at escape:
+``phaseplane.planar_rhs``, are advanced in the autonomous time eta by an
+in-module scalar Dormand-Prince 5(4) loop: the method, tableau, initial
+step, error norm and step-size controller of scipy's RK45, step for step,
+with the escape and plunge events tested as two scalars after each
+accepted step instead of through ``solve_ivp``'s per-step event machinery.
+The free boundary of the profile is only reached as X -> infinity, so
+classification happens at escape:
 
 * an orbit plunging far below the ray Y = -(m-1)X is conclusively headed
   to the vertical stable node Q3;
@@ -22,7 +26,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
+from scipy.optimize import brentq
 
 from selfsim.params import DomainError, ModelParams, Regime, regime
 from selfsim.phaseplane import (
@@ -37,6 +42,19 @@ from selfsim.phaseplane import (
 RATIO_WINDOW = 0.15
 #: points of the shared X-grid on which orbit_monotonicity_check compares
 MONOTONICITY_GRID = 60
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5):
+# scipy's RK45 tableau read as Python floats, its rows cut to the stages
+# they combine
+_C = RK45.C.tolist()
+_A = [row[:s] for s, row in enumerate(RK45.A.tolist())]
+_B = RK45.B.tolist()
+_E = RK45.E.tolist()
+_P = RK45.P.tolist()
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = float(np.finfo(float).eps)
+_SQRT2 = 2.0**0.5
 
 
 @dataclass(frozen=True)
@@ -73,13 +91,33 @@ class OrbitEnd:
 
 
 @dataclass(frozen=True)
+class PhaseStats:
+    """Solver counts of one integration phase.
+
+    ``status`` follows ``solve_ivp``: -1 the step size fell below its
+    minimum, 0 the end of the interval was reached, 1 an event ended it.
+    """
+
+    method: str
+    nfev: int
+    njev: int
+    steps: int
+    status: int
+
+
+@dataclass(frozen=True)
 class Orbit:
-    """An integrated trajectory: samples (eta, X, Y) plus termination data."""
+    """An integrated trajectory: samples (eta, X, Y) plus termination data.
+
+    ``stats`` holds one record per phase that ran: the X-Y phase, then the
+    slope-chart phase if the orbit escaped past ``X_big``.
+    """
 
     eta: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     termination: OrbitEnd
+    stats: tuple[PhaseStats, ...] = ()
 
 
 def launch_from_p0(
@@ -155,6 +193,154 @@ def _classify_slope(params: ModelParams, K: float, u: float) -> OrbitTag:
     return OrbitTag.UNRESOLVED
 
 
+def _rms(a: float, b: float) -> float:
+    """RMS norm of a 2-vector, as scipy's solvers take it."""
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _dense(t_old: float, h: float, x_old: float, y_old: float, kx, ky):
+    """The quartic dense output of one Dormand-Prince step, as RK45's."""
+    qx = [sum(k * P[i] for k, P in zip(kx, _P)) for i in range(4)]
+    qy = [sum(k * P[i] for k, P in zip(ky, _P)) for i in range(4)]
+
+    def at(t: float) -> tuple[float, float]:
+        r = (t - t_old) / h
+        powers = (r, r * r, r * r * r, r * r * r * r)
+        return (
+            h * sum(q * w for q, w in zip(qx, powers)) + x_old,
+            h * sum(q * w for q, w in zip(qy, powers)) + y_old,
+        )
+
+    return at
+
+
+def _xy_phase(
+    params: ModelParams, K: float, start: PhasePoint, opts: IntegratorOptions
+):
+    """Step the planar system from ``start`` until an event or ``eta_max``.
+
+    This is scipy's RK45 on two floats: the same initial step, stages,
+    error norm, step-size controller and quartic dense output.  The events
+    are tested after each accepted step: X rising through ``X_big`` is an
+    escape, Y + 3(m-1)X + 10 falling through 0, far below the Q4 ray, is a
+    plunge.  An event's root is found on the dense output with ``brentq``
+    and becomes the last sample; if both occur in one step the earlier
+    root wins.  A start already below the plunge line is a plunge before
+    the first step.
+
+    Returns the samples (eta, X, Y) as lists, the event that ended the
+    phase ("escape", "plunge" or None) and the phase's ``PhaseStats``.
+    """
+    rhs = planar_rhs(params, K)
+    m3 = 3.0 * (params.m - 1.0)
+    x_big, t_bound, atol = opts.X_big, opts.eta_max, opts.abs_tol
+    rtol = max(opts.rel_tol, 100.0 * _EPS)  # scipy's floor under rtol
+
+    def escape_gap(X: float, Y: float) -> float:
+        return X - x_big
+
+    def plunge_gap(X: float, Y: float) -> float:
+        return Y + m3 * X + 10.0
+
+    t, x, y = 0.0, start.X, start.Y
+    ts, xs, ys = [t], [x], [y]
+    g_escape, g_plunge = escape_gap(x, y), plunge_gap(x, y)
+    if g_plunge < 0.0:
+        return ts, xs, ys, "plunge", PhaseStats("RK45", 0, 0, 0, 1)
+
+    def rhs_or_nan(X: float, Y: float) -> tuple[float, float]:
+        # at a start with X^q past the float range, numpy's float64 power
+        # overflows to inf where a Python float's raises; either way no
+        # step is taken
+        try:
+            return rhs(0.0, (X, Y))
+        except OverflowError:
+            return math.nan, math.nan
+
+    # initial step (Hairer, Norsett & Wanner II.4), as select_initial_step
+    fx, fy = rhs_or_nan(x, y)
+    sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
+    d0, d1 = _rms(x / sx, y / sy), _rms(fx / sx, fy / sy)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    f1x, f1y = rhs_or_nan(x + h0 * fx, y + h0 * fy)
+    # h0 is 0 only where d1 is infinite; the first step is then 0 too
+    d2 = _rms((f1x - fx) / sx, (f1y - fy) / sy) / h0 if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs = min(100.0 * h0, h1, t_bound)
+    nfev = 2
+
+    kx, ky = [0.0] * 7, [0.0] * 7
+    event = status = None
+    while status is None:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = h
+            kx[0], ky[0] = fx, fy
+            for s in range(1, 6):
+                dx = dy = 0.0
+                for kxj, kyj, a in zip(kx, ky, _A[s]):
+                    dx += kxj * a
+                    dy += kyj * a
+                kx[s], ky[s] = rhs(t + _C[s] * h, (x + dx * h, y + dy * h))
+            dx = dy = 0.0
+            for kxj, kyj, b in zip(kx, ky, _B):
+                dx += kxj * b
+                dy += kyj * b
+            x_new, y_new = x + h * dx, y + h * dy
+            kx[6], ky[6] = rhs(t_new, (x_new, y_new))
+            nfev += 6
+            ex = ey = 0.0
+            for kxj, kyj, e in zip(kx, ky, _E):
+                ex += kxj * e
+                ey += kyj * e
+            err = _rms(
+                ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
+                ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
+            )
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            rejected = True
+        else:
+            status = -1
+            break
+
+        g_escape_new = escape_gap(x_new, y_new)
+        g_plunge_new = plunge_gap(x_new, y_new)
+        escaped = g_escape <= 0.0 <= g_escape_new
+        plunged = g_plunge >= 0.0 >= g_plunge_new
+        if escaped or plunged:
+            at = _dense(t, h, x, y, kx, ky)
+            t_new, event = min(
+                (brentq(lambda s, gap=gap: gap(*at(s)), t, t_new,
+                        xtol=4.0 * _EPS, rtol=4.0 * _EPS), name)
+                for gap, name, hit in ((escape_gap, "escape", escaped),
+                                       (plunge_gap, "plunge", plunged))
+                if hit
+            )
+            x_new, y_new = at(t_new)
+            status = 1
+        elif t_new >= t_bound:
+            status = 0
+        t, x, y, fx, fy = t_new, x_new, y_new, kx[6], ky[6]
+        g_escape, g_plunge = g_escape_new, g_plunge_new
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+    return ts, xs, ys, event, PhaseStats("RK45", nfev, 0, len(ts) - 1, status)
+
+
 def integrate(
     start: PhasePoint,
     params: ModelParams,
@@ -168,35 +354,16 @@ def integrate(
     """
     if not start.X > 0.0:
         raise DomainError("start.X must be positive")
+    if not (math.isfinite(start.X) and math.isfinite(start.Y)):
+        raise DomainError("start must be finite")
     if not K > 0.0:
         raise DomainError(f"K must be positive, got {K}")
     opts = opts or IntegratorOptions()
     m = params.m
 
-    def ev_big(eta, y):
-        return y[0] - opts.X_big
-
-    ev_big.terminal = True
-    ev_big.direction = 1.0
-
-    def ev_deep(eta, y):
-        # far below the ray Y = -(m-1)X: conclusively Q3-bound
-        return y[1] + 3.0 * (m - 1.0) * y[0] + 10.0
-
-    ev_deep.terminal = True
-    ev_deep.direction = -1.0
-
-    sol = solve_ivp(
-        planar_rhs(params, K),
-        (0.0, opts.eta_max),
-        [start.X, start.Y],
-        method="RK45",
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        events=[ev_big, ev_deep],
-    )
-    eta = sol.t
-    X, Y = sol.y
+    eta, X, Y, event, xy_stats = _xy_phase(params, K, start, opts)
+    eta, X, Y = np.array(eta), np.array(X), np.array(Y)
+    stats = (xy_stats,)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         end = OrbitEnd(
             tag=OrbitTag.UNRESOLVED,
@@ -204,24 +371,23 @@ def integrate(
             diagnostics="nonfinite state during integration",
         )
         keep = np.isfinite(X) & np.isfinite(Y)
-        return Orbit(eta=eta[keep], X=X[keep], Y=Y[keep], termination=end)
+        return Orbit(eta=eta[keep], X=X[keep], Y=Y[keep], termination=end,
+                     stats=stats)
 
-    hit_big = len(sol.t_events[0]) > 0
-    hit_deep = len(sol.t_events[1]) > 0
     slope = Y[-1] / X[-1] if X[-1] > 0.0 else -math.inf
 
-    if hit_deep:
+    if event == "plunge":
         end = OrbitEnd(tag=OrbitTag.TO_Q3, final_slope=slope,
                        diagnostics="plunged below the Q4 ray")
-        return Orbit(eta=eta, X=X, Y=Y, termination=end)
+        return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
 
-    if not hit_big:
+    if event is None:
         end = OrbitEnd(
             tag=OrbitTag.UNRESOLVED,
             final_slope=slope,
             diagnostics=f"eta budget exhausted at X={X[-1]:.3g}",
         )
-        return Orbit(eta=eta, X=X, Y=Y, termination=end)
+        return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
 
     # escape phase in the slope chart (u, s) = (Y/X, ln X)
     s0 = math.log(X[-1])
@@ -283,7 +449,10 @@ def integrate(
         Y = np.concatenate([Y, Y2])
 
     end = OrbitEnd(tag=tag, final_slope=u_final, diagnostics=diag)
-    return Orbit(eta=eta, X=X, Y=Y, termination=end)
+    slope_stats = PhaseStats("LSODA", int(sol2.nfev), int(sol2.njev),
+                             len(sol2.t) - 1, int(sol2.status))
+    return Orbit(eta=eta, X=X, Y=Y, termination=end,
+                 stats=stats + (slope_stats,))
 
 
 def integrate_from_p0(

@@ -84,9 +84,14 @@ class Profile:
 
 
 def _sampled(xi: np.ndarray, f: np.ndarray):
-    """PCHIP interpolant of ln f over the samples, 0 past the last one."""
+    """PCHIP interpolant of ln f over the samples, 0 past the last one.
+
+    Below the first sample it holds f(xi[0]): the profile is even with
+    f'(0) = 0, so it is flat at the origin.
+    """
     interp = PchipInterpolator(xi, np.log(f), extrapolate=False)
-    return lambda x: np.where(x <= xi[-1], np.exp(interp(x)), 0.0)
+    return lambda x: np.select([x < xi[0], x <= xi[-1]],
+                               [f[0], np.exp(interp(x))], 0.0)
 
 
 def _series_coeff(params: ModelParams, alpha: float) -> float:

@@ -80,6 +80,17 @@ def test_sweep_files(tmp_path, capsys):
     )
 
 
+def test_sweep_without_out_exits_before_shooting(capsys, monkeypatch):
+    def no_orbits(*args, **kwargs):
+        raise AssertionError("sweep shot an orbit before checking --out")
+
+    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", no_orbits)
+    code, _, err = run(capsys, "sweep", "--m", "2", "--p", "0.5", "--N", "4",
+                       "--k-count", "3")
+    assert code == 2
+    assert "--out" in err
+
+
 def test_profile_files(tmp_path, capsys):
     prefix = str(tmp_path / "prof")
     code, _, _ = run(capsys, "profile", "--m", "2", "--p", "0.5", "--N", "4",

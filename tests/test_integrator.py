@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from selfsim.integrator import (
     IntegratorOptions,
     OrbitTag,
+    PhaseStats,
     integrate,
     integrate_from_p0,
     launch_from_p0,
@@ -11,7 +13,7 @@ from selfsim.integrator import (
     tightened,
 )
 from selfsim.params import DomainError, ModelParams
-from selfsim.phaseplane import PhasePoint
+from selfsim.phaseplane import PhasePoint, planar_rhs
 
 SUPER = ModelParams(2.0, 0.5, 4)
 CRIT = ModelParams(1.5, 0.5, 3)
@@ -127,3 +129,94 @@ def test_launch_requires_positive_k():
 def test_integrate_requires_positive_start():
     with pytest.raises(DomainError):
         integrate(PhasePoint(0.0, 0.0), SUPER, 0.1)
+    with pytest.raises(DomainError):
+        integrate(PhasePoint(1.0, np.inf), SUPER, 0.1)
+
+
+def _reference_xy(start, params, K, opts):
+    """The X-Y phase as solve_ivp's RK45 runs it, with terminal events."""
+    m = params.m
+
+    def escape(eta, y):
+        return y[0] - opts.X_big
+
+    def plunge(eta, y):
+        return y[1] + 3.0 * (m - 1.0) * y[0] + 10.0
+
+    escape.terminal, escape.direction = True, 1.0
+    plunge.terminal, plunge.direction = True, -1.0
+    return solve_ivp(planar_rhs(params, K), (0.0, opts.eta_max),
+                     [start.X, start.Y], method="RK45", rtol=opts.rel_tol,
+                     atol=opts.abs_tol, events=[escape, plunge])
+
+
+@pytest.mark.parametrize("params, K, opts, start, event", [
+    (CRIT, 0.05, IntegratorOptions(), None, "escape"),
+    (SUPER, 8.0, IntegratorOptions(), None, "plunge"),
+    (SUPER, 2.5488157, IntegratorOptions(), None, "escape"),
+    (SUB, 1.0, IntegratorOptions(), None, "plunge"),
+    (ModelParams(2.0, 0.5, 1), 0.3, IntegratorOptions(), None, "escape"),
+    (SUPER, 8.0, tightened(IntegratorOptions()), None, "plunge"),
+    (SUPER, 0.1, IntegratorOptions(eta_max=5.0), None, None),
+    # loose tolerances: about one attempt in three is rejected
+    (SUPER, 1.0, IntegratorOptions(rel_tol=1e-3, abs_tol=1e-5),
+     PhasePoint(0.5, 1.0), "escape"),
+    (CRIT, 1.0, IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8),
+     PhasePoint(0.5, 1.0), "plunge"),
+    # below scipy's floor of 100 eps, which both raise rtol to
+    pytest.param(SUPER, 8.0, IntegratorOptions(rel_tol=1e-15), None, "plunge",
+                 marks=pytest.mark.filterwarnings("ignore:At least one")),
+], ids=["ToQ1", "ToQ3-plunge", "ToQ3-past-X_big", "subcritical", "N1",
+        "tightened", "eta-exhausted", "rejections-escape",
+        "rejections-plunge", "rtol-floor"])
+def test_xy_phase_steps_as_solve_ivp_rk45(params, K, opts, start, event):
+    start = start or launch_from_p0(params, K, opts)
+    ref = _reference_xy(start, params, K, opts)
+    orbit = integrate(start, params, K, opts)
+    xy = orbit.stats[0]
+    assert xy.method == "RK45"
+    assert (xy.nfev, xy.njev, xy.steps, xy.status) == (
+        ref.nfev, 0, len(ref.t) - 1, ref.status)
+    fired = [name for name, t in zip(("escape", "plunge"), ref.t_events)
+             if len(t)]
+    assert fired == ([event] if event else [])
+    assert len(orbit.stats) == (2 if event == "escape" else 1)
+    n = xy.steps
+    np.testing.assert_allclose(orbit.eta[n], ref.t[-1], rtol=1e-10)
+    np.testing.assert_allclose([orbit.X[n], orbit.Y[n]], ref.y[:, -1],
+                               rtol=1e-10)
+
+
+def test_start_below_plunge_line_is_q3():
+    orbit = integrate(PhasePoint(1.0, -20.0), SUPER, 1.0)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics == "plunged below the Q4 ray"
+    assert end.final_slope == -20.0
+    assert list(orbit.X) == [1.0] and list(orbit.Y) == [-20.0]
+    assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),)
+
+
+@pytest.mark.parametrize("m, start, tag, samples", [
+    # the norm of the first slope overflows: the first trial step is 0
+    (1.01, PhasePoint(1000.0, 0.0), OrbitTag.TO_Q3, 176),
+    # X^q overflows a Python float at the start: no step is taken
+    (1.005, PhasePoint(9000.0, 0.0), OrbitTag.UNRESOLVED, 1),
+])
+def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
+    # solve_ivp ended these orbits the same way, with overflow warnings
+    orbit = integrate(start, ModelParams(m, 0.5, 3), 1e-3)
+    assert orbit.termination.tag is tag
+    assert len(orbit.eta) == samples
+
+
+def test_orbit_stats_count_both_phases():
+    orbit = integrate_from_p0(SUPER, 0.1)
+    xy, slope = orbit.stats
+    assert (xy.method, xy.njev, xy.status) == ("RK45", 0, 1)
+    assert (slope.method, slope.status) == ("LSODA", 1)
+    # the first stage reuses the last slope: 6 evaluations per attempt,
+    # plus 2 to choose the first step
+    assert (xy.nfev - 2) % 6 == 0 and xy.nfev >= 2 + 6 * xy.steps
+    assert slope.nfev > 0 and slope.njev > 0
+    assert len(orbit.eta) == 1 + xy.steps + slope.steps

@@ -189,6 +189,15 @@ def test_sampled_profiles_evaluate_their_own_samples():
         assert evaluate_f(build(100.0 + k), 0.5) == pytest.approx(100.0 + k)
 
 
+def test_sampled_profile_holds_its_first_value_down_to_the_origin():
+    xi = np.linspace(0.1, 1.0, 10)
+    # exp(ln f[0]) can miss f[0] in the last bit; the hold is f[0] itself
+    prof = Profile(params=SUPER, alpha=1.0, beta=0.5, xi=xi,
+                   f=np.linspace(2.735, 1.0, 10))
+    assert evaluate_f(prof, 0.0) == prof.f[0]
+    assert np.all(evaluate_f(prof, np.array([0.0, 0.05])) == prof.f[0])
+
+
 def test_rescale_requires_positive_lambda(prof_mid):
     with pytest.raises(DomainError):
         rescale(prof_mid, 0.0)
