@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
             group.add_argument("--alpha", type=float, default=None)
         sp.add_argument("--rel-tol", type=float, default=None)
         sp.add_argument("--abs-tol", type=float, default=None)
-        sp.add_argument("--x-big", type=float, default=None)
         sp.add_argument("--out", default=None)
 
     add_common(sub.add_parser("classify", help="tag of the P0-orbit at one K"))
@@ -135,8 +134,6 @@ def _opts_from_args(args) -> IntegratorOptions:
         kwargs["rel_tol"] = args.rel_tol
     if args.abs_tol is not None:
         kwargs["abs_tol"] = args.abs_tol
-    if getattr(args, "x_big", None) is not None:
-        kwargs["X_big"] = args.x_big
     return IntegratorOptions(**kwargs)
 
 
@@ -231,7 +228,11 @@ def _cmd_profile(args) -> int:
         print("profile requires --out (file prefix)", file=sys.stderr)
         return EXIT_FLAGS
     prof = reconstruct(params, sp.K, opts)
-    fit = fit_interface(prof)
+    try:
+        fit = fit_interface(prof)
+    except DomainError as exc:
+        # no fit on a reconstructed tail is a numerical failure, not a flag
+        raise ReconstructionError(str(exc)) from exc
     meta = {
         **_model_meta(params),
         "K": sp.K,

@@ -11,7 +11,7 @@ classification happens at escape:
 
 * an orbit plunging far below the ray Y = -(m-1)X is conclusively headed
   to the vertical stable node Q3;
-* once X exceeds ``X_big`` the integration switches to the slope chart
+* once X exceeds ``X_BIG`` the integration switches to the slope chart
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
   of X; this is what resolves the slow saddle(-node) passage near the
   critical shooting parameter;
@@ -37,6 +37,8 @@ from selfsim.phaseplane import (
     planar_rhs,
 )
 
+#: X at which an orbit escapes from the X-Y chart into the slope chart
+X_BIG = 1e4
 #: half-width, in units of m - 1, of the slope windows that match an escape
 #: slope to a ray slope at infinity
 RATIO_WINDOW = 0.15
@@ -62,18 +64,15 @@ class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     eta_max: float = 1e3
-    X_big: float = 1e4
     launch_offset: float = 1e-6
     #: cap on ln X for the slope-chart escape phase
     ln_x_cap: float = 600.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "eta_max", "X_big",
-                     "launch_offset", "ln_x_cap"):
+        for name in ("rel_tol", "abs_tol", "eta_max", "launch_offset",
+                     "ln_x_cap"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
-        if self.X_big < 1e3:
-            raise DomainError("X_big must be at least 1e3")
 
 
 class OrbitTag(Enum):
@@ -110,7 +109,7 @@ class Orbit:
     """An integrated trajectory: samples (eta, X, Y) plus termination data.
 
     ``stats`` holds one record per phase that ran: the X-Y phase, then the
-    slope-chart phase if the orbit escaped past ``X_big``.
+    slope-chart phase if the orbit escaped past ``X_BIG``.
     """
 
     eta: np.ndarray
@@ -221,23 +220,24 @@ def _xy_phase(
 
     This is scipy's RK45 on two floats: the same initial step, stages,
     error norm, step-size controller and quartic dense output.  The events
-    are tested after each accepted step: X rising through ``X_big`` is an
+    are tested after each accepted step: X rising through ``X_BIG`` is an
     escape, Y + 3(m-1)X + 10 falling through 0, far below the Q4 ray, is a
     plunge.  An event's root is found on the dense output with ``brentq``
     and becomes the last sample; if both occur in one step the earlier
     root wins.  A start already below the plunge line is a plunge before
-    the first step.
+    the first step; failing that, a start at or past ``X_BIG`` with X still
+    rising (Y < 2/(m-1)) is an escape before the first step.
 
     Returns the samples (eta, X, Y) as lists, the event that ended the
     phase ("escape", "plunge" or None) and the phase's ``PhaseStats``.
     """
     rhs = planar_rhs(params, K)
     m3 = 3.0 * (params.m - 1.0)
-    x_big, t_bound, atol = opts.X_big, opts.eta_max, opts.abs_tol
+    t_bound, atol = opts.eta_max, opts.abs_tol
     rtol = max(opts.rel_tol, 100.0 * _EPS)  # scipy's floor under rtol
 
     def escape_gap(X: float, Y: float) -> float:
-        return X - x_big
+        return X - X_BIG
 
     def plunge_gap(X: float, Y: float) -> float:
         return Y + m3 * X + 10.0
@@ -247,6 +247,8 @@ def _xy_phase(
     g_escape, g_plunge = escape_gap(x, y), plunge_gap(x, y)
     if g_plunge < 0.0:
         return ts, xs, ys, "plunge", PhaseStats("RK45", 0, 0, 0, 1)
+    if g_escape >= 0.0 and y < 2.0 / (params.m - 1.0):
+        return ts, xs, ys, "escape", PhaseStats("RK45", 0, 0, 0, 1)
 
     def rhs_or_nan(X: float, Y: float) -> tuple[float, float]:
         # at a start with X^q past the float range, numpy's float64 power
@@ -488,7 +490,7 @@ def orbit_monotonicity_check(
         xs.append(x[keep])
         ys.append(y[keep])
     lo = max(x[0] for x in xs) * 1.01
-    hi = min(min(x[-1] for x in xs), opts.X_big) * 0.99
+    hi = min(min(x[-1] for x in xs), X_BIG) * 0.99
     if not hi > lo:
         raise DomainError("orbits do not share a common X range")
     grid = np.geomspace(lo, hi, MONOTONICITY_GRID)

@@ -4,9 +4,10 @@ The profile solves
 
     (f^m)'' + (N-1)/xi * (f^m)' - alpha*f + beta*xi*f' + xi^sigma * f^p = 0
 
-with f(0) = 1, f'(0) = 0.  Integration starts from a series seed at a
-scale-aware offset, stops when f drops below a floor (the equation loses
-Lipschitz continuity at f = 0), and the interface position xi0 is
+with f(0) = 1, f'(0) = 0.  One LSODA integration starts from a series seed
+at a scale-aware offset and stops when f drops below a floor (the equation
+loses Lipschitz continuity at f = 0) or, on a tail too steep to reach the
+floor, when Y = xi*f'/f falls below -Y_STOP; the interface position xi0 is
 extrapolated from the vanishing power law of the tail.  A reconstructed
 profile evaluates anywhere through one private evaluator: the series below
 the seed offset, the dense ODE solution up to the last sample, the tail
@@ -38,6 +39,10 @@ from selfsim.params import (
 
 #: integration stops once f drops below this floor
 F_FLOOR = 1e-8
+#: or once Y = xi*f'/f falls below -Y_STOP: every interface type sends Y to
+#: -infinity like -e*xi0/(xi0 - xi), so this stops within about
+#: e*xi0/Y_STOP of xi0, a gap a double still resolves
+Y_STOP = 1e11
 #: samples on the uniform bulk grid and on the geometric cluster at the tail
 N_UNIFORM, N_CLUSTER = 40000, 5000
 #: fit_interface fits the tail band f < TAIL_WINDOW * f(0)
@@ -71,7 +76,6 @@ class Profile:
     xi: np.ndarray
     f: np.ndarray
     xi0: float | None = None
-    interface_fit: InterfaceFit | None = None
     #: f on a 1-d array of xi >= 0, as built by reconstruct or rescale; a
     #: profile built from samples alone gets ``_sampled`` of its samples
     _eval: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -164,33 +168,33 @@ def reconstruct(
     ev_blow.terminal = True
     ev_blow.direction = 1.0
 
-    def run(method):
-        return solve_ivp(
-            _rhs(params, alpha, beta),
-            (eps, xi_max),
-            [f0, g0],
-            method=method,
-            rtol=max(opts.rel_tol, 1e-12),
-            atol=max(opts.abs_tol, 1e-14),
-            events=[ev_floor, ev_blow],
-            dense_output=True,
-        )
+    def ev_steep(xi, y):
+        # Y = xi*f'/f falling through -Y_STOP, written without dividing by f
+        return xi * y[1] + Y_STOP * y[0]
 
-    try:
-        sol = run("LSODA")
-    except ValueError:
-        # LSODA's event interpolant misbehaves when the step underflows at
-        # a sign-change tail (f' -> -inf); RK45 stalls there cleanly
-        sol = run("RK45")
+    ev_steep.terminal = True
+    ev_steep.direction = -1.0
+
+    sol = solve_ivp(
+        _rhs(params, alpha, beta),
+        (eps, xi_max),
+        [f0, g0],
+        method="LSODA",
+        rtol=max(opts.rel_tol, 1e-12),
+        atol=max(opts.abs_tol, 1e-14),
+        events=[ev_floor, ev_blow, ev_steep],
+        dense_output=True,
+    )
     if len(sol.t_events[1]) > 0:
         raise ReconstructionError(
             "profile failed to decrease (wrong-regime call?)"
         )
-    if len(sol.t_events[0]) > 0:
-        xi_f = float(sol.t_events[0][0])
+    if sol.status == 1:
+        # the floor or the steep-tail stop; the blow-up was handled above
+        xi_f = float(sol.t[-1])
     elif sol.status == -1 and sol.y[0, -1] < 1e-4:
-        # sign-change tails have f' -> -inf at f = 0; the stepper stalls
-        # just above the floor, which still pins down the interface
+        # LSODA can fail just above the floor on a flat tail, which still
+        # pins down the interface
         xi_f = float(sol.t[-1])
     else:
         raise ReconstructionError(
@@ -404,14 +408,6 @@ def rescale(profile: Profile, lam: float) -> Profile:
     gamma = 2.0 / (profile.params.m - 1.0)
     fac = lam**-gamma
     xi0 = profile.xi0 / lam if profile.xi0 is not None else None
-    fit = profile.interface_fit
-    if fit is not None:
-        fit = InterfaceFit(
-            xi0=fit.xi0 / lam,
-            exponent=fit.exponent,
-            constant=fit.constant * fac * lam**fit.exponent,
-            type_label=fit.type_label,
-        )
     base = profile._eval
     return Profile(
         params=profile.params,
@@ -420,6 +416,5 @@ def rescale(profile: Profile, lam: float) -> Profile:
         xi=profile.xi / lam,
         f=profile.f * fac,
         xi0=xi0,
-        interface_fit=fit,
         _eval=lambda x: fac * base(lam * x),
     )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from selfsim import cli
+from selfsim.params import DomainError
 from selfsim.shooting import BracketError
 
 
@@ -152,6 +153,17 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "find-kstar", "--m", "2", "--p", "0.5", "--N", "4")
     assert code == 3
     assert "no bracket" in err
+
+
+def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def no_fit(prof):
+        raise DomainError("need at least 20 samples below the fit window")
+
+    monkeypatch.setattr(cli, "fit_interface", no_fit)
+    code, _, err = run(capsys, "profile", "--m", "2", "--p", "0.5", "--N", "4",
+                       "--K", "0.5", "--out", str(tmp_path / "prof"))
+    assert code == 3
+    assert "20 samples" in err
 
 
 def test_subcritical_find_kstar_rejected(capsys):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from selfsim.integrator import (
+    X_BIG,
     IntegratorOptions,
     OrbitTag,
     PhaseStats,
@@ -110,8 +111,6 @@ def test_monotonicity_preconditions():
 def test_options_validation():
     with pytest.raises(DomainError):
         IntegratorOptions(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        IntegratorOptions(X_big=10.0)
 
 
 def test_tightened_escalates():
@@ -138,7 +137,7 @@ def _reference_xy(start, params, K, opts):
     m = params.m
 
     def escape(eta, y):
-        return y[0] - opts.X_big
+        return y[0] - X_BIG
 
     def plunge(eta, y):
         return y[1] + 3.0 * (m - 1.0) * y[0] + 10.0
@@ -195,6 +194,16 @@ def test_start_below_plunge_line_is_q3():
     assert end.final_slope == -20.0
     assert list(orbit.X) == [1.0] and list(orbit.Y) == [-20.0]
     assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),)
+
+
+def test_start_past_x_big_escapes_at_once():
+    # the X-Y chart is stiff out here; the escape test only saw a crossing
+    # from below, so this start ran the X-Y phase to its eta budget
+    opts = IntegratorOptions(eta_max=0.05)
+    orbit = integrate(PhasePoint(2e4, 0.0), SUPER, 0.1, opts)
+    assert orbit.termination.tag is OrbitTag.TO_Q1
+    assert orbit.stats[0] == PhaseStats("RK45", 0, 0, 0, 1)
+    assert orbit.stats[1].method == "LSODA"
 
 
 @pytest.mark.parametrize("m, start, tag, samples", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from selfsim import profile
 from selfsim.params import DomainError, ModelParams, alpha_beta_from_k
 from selfsim.profile import (
     InterfaceType,
@@ -17,6 +18,9 @@ SUPER = ModelParams(2.0, 0.5, 4)
 CRIT = ModelParams(1.5, 0.5, 3)
 
 K_STAR_SUPER = 2.5488157
+#: K* of (3, 1/2, 3) and of (5, 0.9, 3), bisected with find_k_star
+K_STAR_M3 = 8.344726
+K_STAR_M5 = 14.631461298134003
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +59,42 @@ def test_interface_type_ii_below_transition(prof_fig3a):
 
 
 def test_interface_type_i_at_transition(prof_mid):
-    fit = fit_interface(prof_mid)
-    assert fit.type_label is InterfaceType.TYPE_I
-    assert fit.exponent == pytest.approx(1.0, rel=0.15)
+    # at (3, 1/2, 3) the tail is steep before f reaches the floor: it stops
+    # on Y at the type I interface, short of the neck a near-K* orbit has
+    m3 = reconstruct(ModelParams(3.0, 0.5, 3), K_STAR_M3)
+    for prof, target in ((prof_mid, 1.0), (m3, 0.5)):
+        fit = fit_interface(prof)
+        assert fit.type_label is InterfaceType.TYPE_I
+        assert fit.exponent == pytest.approx(target, rel=0.15)
 
 
 def test_sign_change_exponent_above_transition():
+    # the (5, 0.9, 3) tail never reaches the floor; it stops on Y
+    for params, K in ((SUPER, 4.0 * K_STAR_SUPER),
+                      (ModelParams(5.0, 0.9, 3), 4.0 * K_STAR_M5)):
+        fit = fit_interface(reconstruct(params, K))
+        assert fit.type_label is InterfaceType.SIGN_CHANGE
+        assert fit.exponent == pytest.approx(1.0 / params.m, rel=0.1)
+
+
+def test_sign_change_profile_is_one_lsoda_run(monkeypatch):
+    calls = []
+    real = profile.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(profile, "solve_ivp", counted)
     prof = reconstruct(SUPER, 4.0 * K_STAR_SUPER)
-    fit = fit_interface(prof)
-    assert fit.type_label is InterfaceType.SIGN_CHANGE
-    assert fit.exponent == pytest.approx(0.5, rel=0.1)
+    assert calls == ["LSODA"]
+    # the scaled residual of the benchmark's profile workload, on its stride
+    worst = max(
+        ode_residual(prof, i) / max(1.0, abs(prof.alpha * prof.f[i]))
+        for i in range(1, len(prof.xi) - 1, 97)
+        if prof.xi[1] < prof.xi[i] < 0.99 * prof.xi0
+    )
+    assert worst < 1e-5
 
 
 def test_critical_profile_single_interface_type():
