@@ -15,8 +15,10 @@ classification happens at escape:
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
   of X; this is what resolves the slow saddle(-node) passage near the
   critical shooting parameter;
-* the final slope u is compared against the known ray slopes of the
-  critical points at infinity.
+* for m + p > 2, a slope the chart traps above -(m-1)/2 ends the orbit
+  at once as Q1-bound;
+* otherwise the final slope u is compared against the known ray slopes of
+  the critical points at infinity.
 """
 
 from __future__ import annotations
@@ -190,6 +192,10 @@ def _classify_slope(params: ModelParams, K: float, u: float) -> OrbitTag:
     if u < -(m - 1.0) * (1.0 + RATIO_WINDOW):
         return OrbitTag.TO_Q3
     return OrbitTag.UNRESOLVED
+
+
+def _trapped(s: float) -> str:
+    return f"trapped above the slope -(m-1)/2 at ln X = {s:.1f}"
 
 
 def _rms(a: float, b: float) -> float:
@@ -402,13 +408,25 @@ def integrate(
 
     ev_down.terminal = True
     ev_down.direction = -1.0
+    events = [ev_down]
 
-    def ev_relaxed(s, y):
-        # slope rising back toward 0: conclusively in the Q1 basin
-        return y[0] + 1e-6 * (m - 1.0)
+    if regime(params) is Regime.SUPERCRITICAL:
+        # For q < 2 the K term of du/ds falls with s.  Once it is below
+        # (m-1)^2/4 with u above -(m-1)/2, du/ds > 0 on the line
+        # u = -(m-1)/2 and du/ds < 0 where the chart ends (2/X = (m-1)u),
+        # so u can reach neither the plunge line nor the Q4 window: Q1.
+        def ev_trapped(s, y):
+            return min(y[0] + 0.5 * (m - 1.0),
+                       0.25 * (m - 1.0) ** 2 - K * math.exp((q - 2.0) * s))
 
-    ev_relaxed.terminal = True
-    ev_relaxed.direction = 1.0
+        ev_trapped.terminal = True
+        ev_trapped.direction = 1.0
+        if ev_trapped(s0, (u0,)) > 0.0:
+            end = OrbitEnd(tag=OrbitTag.TO_Q1, final_slope=u0,
+                           diagnostics=_trapped(s0))
+            return Orbit(eta=eta, X=X, Y=Y, termination=end,
+                         stats=stats + (PhaseStats("LSODA", 0, 0, 0, 1),))
+        events.append(ev_trapped)
 
     # the slope relaxes onto a slow manifold whose attraction rate grows
     # exponentially in s: stiff, so use an implicit-capable method here
@@ -419,7 +437,7 @@ def integrate(
         method="LSODA",
         rtol=max(opts.rel_tol, 1e-12),
         atol=max(opts.abs_tol, 1e-14),
-        events=[ev_down, ev_relaxed],
+        events=events,
     )
     u_arr, eta2 = sol2.y
     s_arr = sol2.t
@@ -435,6 +453,9 @@ def integrate(
         if len(sol2.t_events[0]) > 0:
             tag = OrbitTag.TO_Q3
             diag = "plunged below the Q4 ray (slope chart)"
+        elif len(sol2.t_events) > 1 and len(sol2.t_events[1]) > 0:
+            tag = OrbitTag.TO_Q1
+            diag = _trapped(s_arr[-1])
         else:
             tag = _classify_slope(params, K, u_final)
             if sol2.status == -1:

@@ -94,13 +94,17 @@ def find_k_star(
     if reg is Regime.SUBCRITICAL:
         raise DomainError("no transition exists for m + p < 2")
     opts = opts or IntegratorOptions()
-    probes: list[tuple[float, OrbitTag]] = []
+    probes: dict[float, OrbitTag] = {}
     unresolved = 0
 
     def probe(K: float) -> OrbitTag:
         nonlocal unresolved
+        # K = 1 starts both searches for m + p > 2, and a first midpoint
+        # can be a K the search already shot
+        if K in probes:
+            return probes[K]
         tag = classify(params, K, opts)
-        probes.append((K, tag))
+        probes[K] = tag
         if tag is OrbitTag.UNRESOLVED:
             unresolved += 1
             if unresolved > max(2, len(probes) // 10):
@@ -153,7 +157,7 @@ def find_k_star(
     return ClassificationReport(
         params=params,
         regime=reg,
-        K_grid=tuple(sorted(probes)),
+        K_grid=tuple(sorted(probes.items())),
         K_star=K_star,
         K_star_bracket=(K_lo, K_hi),
         alpha_star=sp.alpha,

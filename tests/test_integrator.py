@@ -7,6 +7,7 @@ from selfsim.integrator import (
     IntegratorOptions,
     OrbitTag,
     PhaseStats,
+    _rhs_slope,
     integrate,
     integrate_from_p0,
     launch_from_p0,
@@ -220,12 +221,78 @@ def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
 
 
 def test_orbit_stats_count_both_phases():
-    orbit = integrate_from_p0(SUPER, 0.1)
+    # critical regime: LSODA runs to the ln X cap
+    orbit = integrate_from_p0(CRIT, 0.05)
     xy, slope = orbit.stats
     assert (xy.method, xy.njev, xy.status) == ("RK45", 0, 1)
-    assert (slope.method, slope.status) == ("LSODA", 1)
+    assert (slope.method, slope.status) == ("LSODA", 0)
     # the first stage reuses the last slope: 6 evaluations per attempt,
     # plus 2 to choose the first step
     assert (xy.nfev - 2) % 6 == 0 and xy.nfev >= 2 + 6 * xy.steps
     assert slope.nfev > 0 and slope.njev > 0
     assert len(orbit.eta) == 1 + xy.steps + slope.steps
+
+
+def _reference_slope(orbit, params, K):
+    """LSODA in the slope chart from the orbit's last sample, run until the
+    slope plunges below -3(m-1) or rises through -1e-6(m-1)."""
+    m = params.m
+
+    def down(s, y):
+        return y[0] + 3.0 * (m - 1.0)
+
+    def relaxed(s, y):
+        return y[0] + 1e-6 * (m - 1.0)
+
+    down.terminal, down.direction = True, -1.0
+    relaxed.terminal, relaxed.direction = True, 1.0
+    s0 = np.log(orbit.X[-1])
+    return solve_ivp(_rhs_slope(params, K), (s0, 600.0),
+                     [orbit.Y[-1] / orbit.X[-1], orbit.eta[-1]],
+                     method="LSODA", rtol=1e-10, atol=1e-12,
+                     events=[down, relaxed])
+
+
+@pytest.mark.parametrize("params, K", [
+    (SUPER, 0.1), (SUPER, 1.0), (SUPER, 2.548), (SUPER, 2.5488144),
+    (ModelParams(3.0, 0.75, 3), 1.0),
+], ids=["K0.1", "K1", "K2.548", "near-K*", "m3-p0.75"])
+def test_trapped_orbit_relaxes_toward_q1(params, K):
+    orbit = integrate_from_p0(params, K)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q1
+    assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
+    # the event root may sit a rounding error below the line
+    assert end.final_slope > -0.5 * (params.m - 1.0) - 1e-12
+    ref = _reference_slope(orbit, params, K)
+    assert ref.status == 1
+    assert len(ref.t_events[0]) == 0 and len(ref.t_events[1]) == 1
+
+
+def test_trapped_at_escape_runs_no_slope_phase():
+    orbit = integrate_from_p0(SUPER, 0.1)
+    xy, slope = orbit.stats
+    assert slope == PhaseStats("LSODA", 0, 0, 0, 1)
+    assert len(orbit.eta) == 1 + xy.steps
+    assert orbit.X[-1] == pytest.approx(X_BIG, rel=1e-12)
+    assert orbit.termination.final_slope == orbit.Y[-1] / orbit.X[-1]
+
+
+def test_large_m_orbit_is_trapped():
+    # for m > 20/3 the supercritical Q1 window of _classify_slope lies
+    # above u = 0, which Q1-bound slopes approach from below
+    end = integrate_from_p0(ModelParams(7.0, 0.5, 3), 1.0).termination
+    assert end.tag is OrbitTag.TO_Q1
+    assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
+
+
+def test_trap_waits_for_the_k_term():
+    # near m + p = 2 the K term barely decays: this orbit escapes above
+    # u = -(m-1)/2 with K e^((q-2)s) > (m-1)^2/4 and still plunges
+    params = ModelParams(1.5, 0.501, 3)
+    orbit = integrate_from_p0(params, 0.065)
+    xy = orbit.stats[0]
+    assert orbit.Y[xy.steps] / orbit.X[xy.steps] > -0.5 * (params.m - 1.0)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics == "plunged below the Q4 ray (slope chart)"

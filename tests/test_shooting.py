@@ -46,6 +46,21 @@ def test_find_k_star_supercritical_regression():
     )
 
 
+def test_find_k_star_probes_each_k_once():
+    # K = 1 starts both the Q1 and the Q3 search; it is shot once
+    report = find_k_star(SUPER, tol_K=1e-6)
+    ks = [k for k, _ in report.K_grid]
+    assert len(ks) == len(set(ks)) == 23
+    assert report.K_star_bracket == (2.548814423205133, 2.5488169504960596)
+
+
+def test_find_k_star_large_m():
+    # m > 20/3: Q1-bound orbits are tagged by the slope-chart trap, since
+    # their escape slopes stay below the Q1 window
+    report = find_k_star(ModelParams(7.0, 0.5, 3), tol_K=1e-6)
+    assert report.K_star == pytest.approx(24.33509, rel=1e-6)
+
+
 def test_report_tags_are_monotone():
     report = find_k_star(SUPER, tol_K=1e-3)
     tags = [tag for _, tag in report.K_grid if tag is not OrbitTag.UNRESOLVED]
