@@ -176,6 +176,9 @@ def _cmd_find_kstar(args) -> int:
         "notes": report.notes,
     }
     _json_dump(doc, args.out)
+    if report.notes:
+        print(f"bisection stopped early: {report.notes}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return 0
 
 

@@ -13,12 +13,10 @@ classification happens at escape:
   to the vertical stable node Q3;
 * once X exceeds ``X_BIG`` the integration switches to the slope chart
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
-  of X; this is what resolves the slow saddle(-node) passage near the
-  critical shooting parameter;
-* for m + p > 2, a slope the chart traps above -(m-1)/2 ends the orbit
-  at once as Q1-bound;
-* otherwise the final slope u is compared against the known ray slopes of
-  the critical points at infinity.
+  of X;
+* there every tag comes from a proven stop (``_stops``): a region of the
+  chart that, once entered, the orbit never leaves and that leads to one
+  endpoint; an orbit that meets none by the ln X cap is ``Unresolved``.
 """
 
 from __future__ import annotations
@@ -41,9 +39,6 @@ from selfsim.phaseplane import (
 
 #: X at which an orbit escapes from the X-Y chart into the slope chart
 X_BIG = 1e4
-#: half-width, in units of m - 1, of the slope windows that match an escape
-#: slope to a ray slope at infinity
-RATIO_WINDOW = 0.15
 #: points of the shared X-grid on which orbit_monotonicity_check compares
 MONOTONICITY_GRID = 60
 
@@ -79,7 +74,6 @@ class IntegratorOptions:
 
 class OrbitTag(Enum):
     TO_Q1 = "ToQ1"
-    TO_Q4 = "ToQ4"
     TO_Q3 = "ToQ3"
     UNRESOLVED = "Unresolved"
 
@@ -161,41 +155,55 @@ def _rhs_slope(params: ModelParams, K: float):
     return rhs
 
 
-def _classify_slope(params: ModelParams, K: float, u: float) -> OrbitTag:
-    """Match an escape slope u = Y/X against the infinity ray slopes."""
-    m = params.m
+def _stops(params: ModelParams, K: float):
+    """The slope chart's proven stops, as (gap, tag, diagnostics) triples.
+
+    Each gap g(s, (u, eta)), once positive, stays positive along the orbit,
+    and the orbit then ends at the tag's point; it is a terminal event of
+    ``solve_ivp`` with direction +1.  ``diagnostics`` is formatted with the
+    ln X where the stop fired.  With num = -u^2 - (m-1)u - K e^((q-2)s)
+    - (Nu - 2)e^(-s) and den = 2e^(-s) - (m-1)u > 0, du/ds = num/den.
+    """
+    m1, N, q = params.m - 1.0, params.N, params.power_ratio
     reg = regime(params)
-    if reg is Regime.CRITICAL:
-        slopes = critical_slopes(params, K)
-        if slopes is not None:
-            y1, y2 = slopes
-            if u > -0.5 * (m - 1.0):
-                return OrbitTag.TO_Q1
-            if abs(u - y2) < RATIO_WINDOW * (m - 1.0) and u > y2:
-                return OrbitTag.TO_Q4
-            if u < y2 - RATIO_WINDOW * (m - 1.0):
-                return OrbitTag.TO_Q3
-            return OrbitTag.UNRESOLVED
-        # no Q1/Q4: only a plunge to Q3 is conclusive
-        if u < -(m - 1.0):
-            return OrbitTag.TO_Q3
-        return OrbitTag.UNRESOLVED
-    if reg is Regime.SUBCRITICAL:
-        if u < -(m - 1.0) * (1.0 + RATIO_WINDOW):
-            return OrbitTag.TO_Q3
-        return OrbitTag.UNRESOLVED
-    # supercritical
-    if u > -(m - 1.0) / m + RATIO_WINDOW * (m - 1.0):
-        return OrbitTag.TO_Q1
-    if abs(u + (m - 1.0)) < RATIO_WINDOW * (m - 1.0):
-        return OrbitTag.TO_Q4
-    if u < -(m - 1.0) * (1.0 + RATIO_WINDOW):
-        return OrbitTag.TO_Q3
-    return OrbitTag.UNRESOLVED
 
+    def plunged(s, y):
+        return -(y[0] + 3.0 * m1)
 
-def _trapped(s: float) -> str:
-    return f"trapped above the slope -(m-1)/2 at ln X = {s:.1f}"
+    stops = [(plunged, OrbitTag.TO_Q3, "plunged below the Q4 ray (slope chart)")]
+    if reg is Regime.SUPERCRITICAL:
+        # q < 2: the K term falls with s.  Once it is below (m-1)^2/4 with u
+        # above -(m-1)/2, du/ds > 0 on u = -(m-1)/2 and du/ds < 0 where the
+        # chart ends (den = 0), so u can never reach the plunge line: Q1.
+        def trapped(s, y):
+            return min(y[0] + 0.5 * m1,
+                       0.25 * m1 * m1 - K * math.exp((q - 2.0) * s))
+
+        stops.append((trapped, OrbitTag.TO_Q1,
+                       "trapped above the slope -(m-1)/2 at ln X = {:.1f}"))
+    else:
+        # q >= 2: the K term never falls.  For u in [-3(m-1), 2e^(-s)/(m-1)],
+        # num <= -bound, so once the bound is positive u falls at a rate
+        # bounded away from 0 until it plunges: Q3.
+        def bound(s, y):
+            return (K * math.exp((q - 2.0) * s) - 0.25 * m1 * m1
+                    - (2.0 + 3.0 * N * m1) * math.exp(-s))
+
+        stops.append((bound, OrbitTag.TO_Q3, "bound to plunge at ln X = {:.1f}"))
+    slopes = critical_slopes(params, K) if reg is Regime.CRITICAL else None
+    if slopes is not None:
+        # on u = y2 (the Q4 ray), num = (2 - N y2)e^(-s) > 0, and du/ds < 0
+        # where the chart ends, so u converges to y1: Q1
+        y2 = slopes[1]
+
+        def above_y2(s, y):
+            return y[0] - y2
+
+        stops.append((above_y2, OrbitTag.TO_Q1,
+                      f"trapped above the Q4 slope {y2:.6g} at ln X = {{:.1f}}"))
+    for gap, _, _ in stops:
+        gap.terminal, gap.direction = True, 1.0
+    return stops
 
 
 def _rms(a: float, b: float) -> float:
@@ -367,7 +375,6 @@ def integrate(
     if not K > 0.0:
         raise DomainError(f"K must be positive, got {K}")
     opts = opts or IntegratorOptions()
-    m = params.m
 
     eta, X, Y, event, xy_stats = _xy_phase(params, K, start, opts)
     eta, X, Y = np.array(eta), np.array(X), np.array(Y)
@@ -402,31 +409,12 @@ def integrate(
     u0 = slope
     q = params.power_ratio
     s_cap = opts.ln_x_cap if q <= 2.0 else min(opts.ln_x_cap, 690.0 / (q - 2.0))
-
-    def ev_down(s, y):
-        return y[0] + 3.0 * (m - 1.0)
-
-    ev_down.terminal = True
-    ev_down.direction = -1.0
-    events = [ev_down]
-
-    if regime(params) is Regime.SUPERCRITICAL:
-        # For q < 2 the K term of du/ds falls with s.  Once it is below
-        # (m-1)^2/4 with u above -(m-1)/2, du/ds > 0 on the line
-        # u = -(m-1)/2 and du/ds < 0 where the chart ends (2/X = (m-1)u),
-        # so u can reach neither the plunge line nor the Q4 window: Q1.
-        def ev_trapped(s, y):
-            return min(y[0] + 0.5 * (m - 1.0),
-                       0.25 * (m - 1.0) ** 2 - K * math.exp((q - 2.0) * s))
-
-        ev_trapped.terminal = True
-        ev_trapped.direction = 1.0
-        if ev_trapped(s0, (u0,)) > 0.0:
-            end = OrbitEnd(tag=OrbitTag.TO_Q1, final_slope=u0,
-                           diagnostics=_trapped(s0))
+    stops = _stops(params, K)
+    for gap, tag, diag in stops:
+        if gap(s0, (u0,)) > 0.0:
+            end = OrbitEnd(tag=tag, final_slope=u0, diagnostics=diag.format(s0))
             return Orbit(eta=eta, X=X, Y=Y, termination=end,
                          stats=stats + (PhaseStats("LSODA", 0, 0, 0, 1),))
-        events.append(ev_trapped)
 
     # the slope relaxes onto a slow manifold whose attraction rate grows
     # exponentially in s: stiff, so use an implicit-capable method here
@@ -437,31 +425,21 @@ def integrate(
         method="LSODA",
         rtol=max(opts.rel_tol, 1e-12),
         atol=max(opts.abs_tol, 1e-14),
-        events=events,
+        events=[gap for gap, _, _ in stops],
     )
     u_arr, eta2 = sol2.y
     s_arr = sol2.t
     finite = np.isfinite(u_arr)
     u_arr, eta2, s_arr = u_arr[finite], eta2[finite], s_arr[finite]
-    diag = ""
-    if len(u_arr) == 0:
-        u_final = u0
-        tag = OrbitTag.UNRESOLVED
-        diag = "slope chart integration failed"
+    fired = [stop for stop, t in zip(stops, sol2.t_events) if len(t)]
+    s_end = s_arr[-1]
+    if fired:
+        _, tag, diag = fired[0]
+        diag = diag.format(s_end)
     else:
-        u_final = u_arr[-1]
-        if len(sol2.t_events[0]) > 0:
-            tag = OrbitTag.TO_Q3
-            diag = "plunged below the Q4 ray (slope chart)"
-        elif len(sol2.t_events) > 1 and len(sol2.t_events[1]) > 0:
-            tag = OrbitTag.TO_Q1
-            diag = _trapped(s_arr[-1])
-        else:
-            tag = _classify_slope(params, K, u_final)
-            if sol2.status == -1:
-                diag = f"slope chart stalled at ln X = {s_arr[-1]:.1f}"
-            elif tag is OrbitTag.UNRESOLVED:
-                diag = f"slope {u_final:.6g} inconclusive at ln X = {s_arr[-1]:.1f}"
+        tag = OrbitTag.UNRESOLVED
+        diag = (f"slope chart stalled at ln X = {s_end:.1f}" if sol2.status == -1
+                else f"no stop fired by the ln X cap {s_end:.1f}")
 
     if len(s_arr) > 1:
         with np.errstate(over="ignore"):
@@ -471,7 +449,7 @@ def integrate(
         X = np.concatenate([X, X2])
         Y = np.concatenate([Y, Y2])
 
-    end = OrbitEnd(tag=tag, final_slope=u_final, diagnostics=diag)
+    end = OrbitEnd(tag=tag, final_slope=u_arr[-1], diagnostics=diag)
     slope_stats = PhaseStats("LSODA", int(sol2.nfev), int(sol2.njev),
                              len(sol2.t) - 1, int(sol2.status))
     return Orbit(eta=eta, X=X, Y=Y, termination=end,

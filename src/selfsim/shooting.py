@@ -136,11 +136,6 @@ def find_k_star(
             K_lo = mid
         elif tag is OrbitTag.TO_Q3:
             K_hi = mid
-        elif tag is OrbitTag.TO_Q4:
-            # transient lock onto the saddle ray: treat as the connection
-            K_lo = K_hi = mid
-            notes = "midpoint locked onto the Q4 ray"
-            break
         else:
             notes = (
                 f"stopped at bracket width {(K_hi - K_lo) / K_lo:.3g} "

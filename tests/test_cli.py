@@ -1,10 +1,19 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from selfsim import cli
-from selfsim.params import DomainError
-from selfsim.shooting import BracketError
+from selfsim.integrator import (
+    IntegratorOptions,
+    OrbitEnd,
+    OrbitTag,
+    integrate_from_p0,
+    tightened,
+)
+from selfsim.params import DomainError, ModelParams, Regime
+from selfsim.shooting import BracketError, ClassificationReport
 
 
 def run(capsys, *argv):
@@ -39,13 +48,25 @@ def test_classify_deterministic(capsys):
     assert json.loads(out1)["tag"] == "ToQ3"
 
 
-def test_classify_retries_unresolved_orbit(capsys):
-    # just above K* = 1/16 the first orbit is still inconclusive at
-    # ln X = 600; the retry with tightened options resolves it, as in sweep
-    code, out, _ = run(capsys, "classify", "--m", "1.5", "--p", "0.5",
-                       "--N", "3", "--K", "0.06250033051920574")
+def test_classify_retries_unresolved_orbit(capsys, monkeypatch):
+    # the first orbit comes back unresolved: classify shoots again with
+    # tightened options, as sweep does, and prints that orbit's tag
+    calls = []
+
+    def first_unresolved(params, K, opts):
+        calls.append(opts)
+        orbit = integrate_from_p0(params, K, opts)
+        if len(calls) > 1:
+            return orbit
+        end = OrbitEnd(OrbitTag.UNRESOLVED, math.nan, "no stop")
+        return replace(orbit, termination=end)
+
+    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", first_unresolved)
+    code, out, _ = run(capsys, "classify", "--m", "2", "--p", "0.5",
+                       "--N", "4", "--K", "8")
     assert code == 0
     assert json.loads(out)["tag"] == "ToQ3"
+    assert calls == [IntegratorOptions(), tightened(IntegratorOptions())]
 
 
 def test_find_kstar_json(capsys):
@@ -153,6 +174,25 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "find-kstar", "--m", "2", "--p", "0.5", "--N", "4")
     assert code == 3
     assert "no bracket" in err
+
+
+def test_find_kstar_stall_exit_code(capsys, monkeypatch):
+    notes = "stopped at bracket width 5.29e-06 (probe unresolved)"
+    stalled = ClassificationReport(
+        params=ModelParams(1.5, 0.5, 3),
+        regime=Regime.CRITICAL,
+        K_grid=((0.0625, OrbitTag.TO_Q1), (0.0625003, OrbitTag.UNRESOLVED)),
+        K_star=0.06250015,
+        K_star_bracket=(0.0625, 0.0625003),
+        alpha_star=9.8,
+        notes=notes,
+    )
+    monkeypatch.setattr(cli, "find_k_star", lambda *a, **k: stalled)
+    code, out, err = run(capsys, "find-kstar", "--m", "1.5", "--p", "0.5",
+                         "--N", "3")
+    assert code == 3
+    assert json.loads(out)["notes"] == notes
+    assert notes in err
 
 
 def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):

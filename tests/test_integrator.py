@@ -43,9 +43,25 @@ def test_reference_tags():
 
 
 def test_critical_slope_approaches_upper_root():
-    end = integrate_from_p0(CRIT, 0.05).termination
+    # the orbit ends where the trap above y2 is proven; continued to s = 600,
+    # its slope reaches the Q1 slope y1
+    orbit = integrate_from_p0(CRIT, 0.05)
+    end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
-    assert end.final_slope == pytest.approx(-0.1381966011, rel=1e-4)
+    assert end.diagnostics.startswith("trapped above the Q4 slope -0.361803")
+    ref = _reference_slope(orbit, CRIT, 0.05)
+    assert ref.status == 0
+    assert ref.y[0, -1] == pytest.approx(-0.1381966011, rel=1e-4)
+
+
+def test_float_k_just_above_k_star_is_bound_to_plunge():
+    # (m-1)^2/4 rounds to 0.009999999999999995, so at K = 0.01 Q1 and Q4 do
+    # not exist and the slope creeps past the ghost of their saddle-node
+    params = ModelParams(1.2, 0.8, 3)
+    assert 0.25 * (params.m - 1.0) ** 2 < 0.01
+    end = integrate_from_p0(params, 0.01).termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics.startswith("bound to plunge")
 
 
 def test_x_monotone_below_cap():
@@ -78,6 +94,10 @@ def test_subcritical_grid_all_to_q3():
     for K in np.geomspace(1e-3, 1e3, 7):
         end = integrate_from_p0(SUB, float(K)).termination
         assert end.tag is OrbitTag.TO_Q3
+    # next to m + p = 2 the K term grows slowly: LSODA runs until the bound
+    end = integrate_from_p0(ModelParams(1.5, 0.49, 3), 1e-4).termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics.startswith("bound to plunge")
 
 
 def test_reintegration_from_interior_sample():
@@ -221,11 +241,11 @@ def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
 
 
 def test_orbit_stats_count_both_phases():
-    # critical regime: LSODA runs to the ln X cap
-    orbit = integrate_from_p0(CRIT, 0.05)
+    # next to m + p = 2: LSODA steps until the bound to plunge holds
+    orbit = integrate_from_p0(ModelParams(1.5, 0.49, 3), 1e-4)
     xy, slope = orbit.stats
     assert (xy.method, xy.njev, xy.status) == ("RK45", 0, 1)
-    assert (slope.method, slope.status) == ("LSODA", 0)
+    assert (slope.method, slope.status) == ("LSODA", 1)
     # the first stage reuses the last slope: 6 evaluations per attempt,
     # plus 2 to choose the first step
     assert (xy.nfev - 2) % 6 == 0 and xy.nfev >= 2 + 6 * xy.steps
@@ -235,7 +255,7 @@ def test_orbit_stats_count_both_phases():
 
 def _reference_slope(orbit, params, K):
     """LSODA in the slope chart from the orbit's last sample, run until the
-    slope plunges below -3(m-1) or rises through -1e-6(m-1)."""
+    slope plunges below -3(m-1), rises through -1e-6(m-1) or s = 600."""
     m = params.m
 
     def down(s, y):
@@ -279,8 +299,8 @@ def test_trapped_at_escape_runs_no_slope_phase():
 
 
 def test_large_m_orbit_is_trapped():
-    # for m > 20/3 the supercritical Q1 window of _classify_slope lies
-    # above u = 0, which Q1-bound slopes approach from below
+    # large m: the slope of a Q1-bound orbit rises toward 0 from below and
+    # is tagged once the trap above -(m-1)/2 holds
     end = integrate_from_p0(ModelParams(7.0, 0.5, 3), 1.0).termination
     assert end.tag is OrbitTag.TO_Q1
     assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")

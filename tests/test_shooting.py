@@ -55,10 +55,20 @@ def test_find_k_star_probes_each_k_once():
 
 
 def test_find_k_star_large_m():
-    # m > 20/3: Q1-bound orbits are tagged by the slope-chart trap, since
-    # their escape slopes stay below the Q1 window
+    # large m: every Q1-bound probe is tagged by the slope-chart trap
     report = find_k_star(ModelParams(7.0, 0.5, 3), tol_K=1e-6)
     assert report.K_star == pytest.approx(24.33509, rel=1e-6)
+
+
+@pytest.mark.parametrize("params", [
+    CRIT, ModelParams(1.2, 0.8, 3), ModelParams(1.3, 0.7, 1),
+], ids=["1.5-0.5-3", "1.2-0.8-3", "1.3-0.7-1"])
+def test_find_k_star_critical_to_1e_10(params):
+    # the trap above y2 and the bound to plunge decide every probe, however
+    # close to (m-1)^2/4: the bisection runs to its tolerance
+    report = find_k_star(params, tol_K=1e-10)
+    assert report.notes == ""
+    assert report.K_star_discrepancy < 1e-9
 
 
 def test_report_tags_are_monotone():
