@@ -47,7 +47,6 @@ from selfsim.shooting import (
     classify,
     find_k_star,
     nonexistence_sweep,
-    shoot,
 )
 from selfsim.profile import (
     InterfaceFit,
@@ -102,7 +101,6 @@ __all__ = [
     "classify",
     "find_k_star",
     "nonexistence_sweep",
-    "shoot",
     "InterfaceFit",
     "InterfaceType",
     "Profile",

@@ -21,7 +21,7 @@ from selfsim.params import (
 )
 from selfsim.phaseplane import PhasePoint, launch_slope
 from selfsim.profile import ReconstructionError, fit_interface, reconstruct
-from selfsim.shooting import BracketError, find_k_star, nonexistence_sweep, shoot
+from selfsim.shooting import BracketError, find_k_star, nonexistence_sweep
 from selfsim.solution import (
     convection_coefficient,
     make_solution,
@@ -141,7 +141,7 @@ def _cmd_classify(args) -> int:
     params = _model_from_args(args)
     sp = _shooting_from_args(params, args)
     opts = _opts_from_args(args)
-    end = shoot(params, sp.K, opts).termination
+    end = integrate_from_p0(params, sp.K, opts).termination
     doc = {
         "schema_version": SCHEMA_VERSION,
         **_model_meta(params),
@@ -185,6 +185,10 @@ def _cmd_find_kstar(args) -> int:
 def _k_grid(args) -> list[float]:
     import numpy as np
 
+    if not (args.k_min > 0.0 and args.k_max > 0.0 and args.k_count >= 1):
+        raise DomainError(
+            "the K grid needs --k-min > 0, --k-max > 0 and --k-count >= 1"
+        )
     return list(np.geomspace(args.k_min, args.k_max, args.k_count))
 
 

@@ -22,7 +22,7 @@ classification happens at escape:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,6 +39,10 @@ from selfsim.phaseplane import (
 
 #: X at which an orbit escapes from the X-Y chart into the slope chart
 X_BIG = 1e4
+#: eta budget of the X-Y phase
+ETA_MAX = 1e3
+#: cap on ln X for the slope-chart escape phase
+LN_X_CAP = 600.0
 #: points of the shared X-grid on which orbit_monotonicity_check compares
 MONOTONICITY_GRID = 60
 
@@ -60,14 +64,10 @@ _SQRT2 = 2.0**0.5
 class IntegratorOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    eta_max: float = 1e3
     launch_offset: float = 1e-6
-    #: cap on ln X for the slope-chart escape phase
-    ln_x_cap: float = 600.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "eta_max", "launch_offset",
-                     "ln_x_cap"):
+        for name in ("rel_tol", "abs_tol", "launch_offset"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
 
@@ -230,7 +230,7 @@ def _dense(t_old: float, h: float, x_old: float, y_old: float, kx, ky):
 def _xy_phase(
     params: ModelParams, K: float, start: PhasePoint, opts: IntegratorOptions
 ):
-    """Step the planar system from ``start`` until an event or ``eta_max``.
+    """Step the planar system from ``start`` until an event or ``ETA_MAX``.
 
     This is scipy's RK45 on two floats: the same initial step, stages,
     error norm, step-size controller and quartic dense output.  The events
@@ -247,7 +247,7 @@ def _xy_phase(
     """
     rhs = planar_rhs(params, K)
     m3 = 3.0 * (params.m - 1.0)
-    t_bound, atol = opts.eta_max, opts.abs_tol
+    t_bound, atol = ETA_MAX, opts.abs_tol
     rtol = max(opts.rel_tol, 100.0 * _EPS)  # scipy's floor under rtol
 
     def escape_gap(X: float, Y: float) -> float:
@@ -408,7 +408,7 @@ def integrate(
     s0 = math.log(X[-1])
     u0 = slope
     q = params.power_ratio
-    s_cap = opts.ln_x_cap if q <= 2.0 else min(opts.ln_x_cap, 690.0 / (q - 2.0))
+    s_cap = LN_X_CAP if q <= 2.0 else min(LN_X_CAP, 690.0 / (q - 2.0))
     stops = _stops(params, K)
     for gap, tag, diag in stops:
         if gap(s0, (u0,)) > 0.0:
@@ -501,14 +501,3 @@ def orbit_monotonicity_check(
     no_crossing = bool(np.all(y_on_grid[1] < y_on_grid[0] + tol))
     separated = bool(np.any(y_on_grid[1] < y_on_grid[0] - tol))
     return no_crossing and separated
-
-
-def tightened(opts: IntegratorOptions) -> IntegratorOptions:
-    """Escalated options for retrying an unresolved classification."""
-    return replace(
-        opts,
-        rel_tol=max(opts.rel_tol / 100.0, 3e-14),
-        abs_tol=max(opts.abs_tol / 100.0, 1e-300),
-        eta_max=opts.eta_max * 10.0,
-        ln_x_cap=min(opts.ln_x_cap * 1.15, 690.0),
-    )

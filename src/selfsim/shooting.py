@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from selfsim.integrator import (
-    IntegratorOptions,
-    Orbit,
-    OrbitTag,
-    integrate_from_p0,
-    tightened,
-)
+from selfsim.integrator import IntegratorOptions, OrbitTag, integrate_from_p0
 from selfsim.params import (
     DomainError,
     ModelParams,
@@ -46,34 +40,15 @@ class ClassificationReport:
     notes: str = ""
 
 
-#: retries with tightened options before an orbit is reported unresolved
-RETRIES = 2
-
-
-def shoot(
-    params: ModelParams, K: float, opts: IntegratorOptions | None = None
-) -> Orbit:
-    """The P0-orbit for a single K, retried while its endpoint is unresolved.
-
-    Unresolved outcomes (slow saddle passage) are retried with tightened
-    tolerances and a larger ln X budget; the last orbit integrated is
-    returned.
-    """
-    opts = opts or IntegratorOptions()
-    orbit = integrate_from_p0(params, K, opts)
-    for _ in range(RETRIES):
-        if orbit.termination.tag is not OrbitTag.UNRESOLVED:
-            break
-        opts = tightened(opts)
-        orbit = integrate_from_p0(params, K, opts)
-    return orbit
-
-
 def classify(
     params: ModelParams, K: float, opts: IntegratorOptions | None = None
 ) -> OrbitTag:
-    """Endpoint tag of the P0-orbit for a single K, after ``shoot``'s retries."""
-    return shoot(params, K, opts).termination.tag
+    """Endpoint tag of the P0-orbit for a single K.
+
+    One orbit is shot per K: every slope-chart tag comes from a proven
+    stop, so a tighter run could only repeat ``Unresolved``.
+    """
+    return integrate_from_p0(params, K, opts).termination.tag
 
 
 _K_MIN, _K_MAX = 1e-6, 1e6
@@ -86,14 +61,15 @@ def find_k_star(
 ) -> ClassificationReport:
     """Bracket and bisect the Q1 -> Q3 transition in K.
 
-    ``tol_K`` is relative: bisection stops once K_hi - K_lo < tol_K * K_lo,
-    or earlier if the probes near the transition become numerically
-    indistinguishable (recorded in ``notes``).
+    ``tol_K`` is relative and must be positive: bisection stops once
+    K_hi - K_lo < tol_K * K_lo, or earlier, with a ``notes`` entry, if a
+    probe is unresolved or the bracket reaches float resolution.
     """
+    if not tol_K > 0.0:
+        raise DomainError(f"tol_K must be positive, got {tol_K}")
     reg = regime(params)
     if reg is Regime.SUBCRITICAL:
         raise DomainError("no transition exists for m + p < 2")
-    opts = opts or IntegratorOptions()
     probes: dict[float, OrbitTag] = {}
     unresolved = 0
 
@@ -131,15 +107,18 @@ def find_k_star(
     notes = ""
     while K_hi - K_lo >= tol_K * K_lo:
         mid = math.sqrt(K_lo * K_hi)
-        tag = probe(mid)
+        # below about 1e-16 the midpoint rounds onto an end of the bracket
+        tag = probe(mid) if K_lo < mid < K_hi else None
         if tag is OrbitTag.TO_Q1:
             K_lo = mid
         elif tag is OrbitTag.TO_Q3:
             K_hi = mid
         else:
+            reason = ("bracket at float resolution" if tag is None
+                      else "probe unresolved")
             notes = (
                 f"stopped at bracket width {(K_hi - K_lo) / K_lo:.3g} "
-                "(probe unresolved)"
+                f"({reason})"
             )
             break
 
@@ -175,7 +154,6 @@ def nonexistence_sweep(
     reg = regime(params)
     if reg is not Regime.SUBCRITICAL:
         raise DomainError("nonexistence sweep applies to m + p < 2 only")
-    opts = opts or IntegratorOptions()
     probes = tuple(sorted((K, classify(params, K, opts)) for K in K_grid))
     bad = [K for K, tag in probes
            if tag not in (OrbitTag.TO_Q3, OrbitTag.UNRESOLVED)]

@@ -5,13 +5,7 @@ from dataclasses import replace
 import pytest
 
 from selfsim import cli
-from selfsim.integrator import (
-    IntegratorOptions,
-    OrbitEnd,
-    OrbitTag,
-    integrate_from_p0,
-    tightened,
-)
+from selfsim.integrator import OrbitEnd, OrbitTag, integrate_from_p0
 from selfsim.params import DomainError, ModelParams, Regime
 from selfsim.shooting import BracketError, ClassificationReport
 
@@ -48,25 +42,25 @@ def test_classify_deterministic(capsys):
     assert json.loads(out1)["tag"] == "ToQ3"
 
 
-def test_classify_retries_unresolved_orbit(capsys, monkeypatch):
-    # the first orbit comes back unresolved: classify shoots again with
-    # tightened options, as sweep does, and prints that orbit's tag
+def test_classify_shoots_one_orbit(capsys, monkeypatch):
+    # an unresolved orbit is reported as it is, with its reason: no retry
     calls = []
 
-    def first_unresolved(params, K, opts):
-        calls.append(opts)
+    def unresolved(params, K, opts):
+        calls.append(K)
         orbit = integrate_from_p0(params, K, opts)
-        if len(calls) > 1:
-            return orbit
-        end = OrbitEnd(OrbitTag.UNRESOLVED, math.nan, "no stop")
+        end = OrbitEnd(OrbitTag.UNRESOLVED, math.nan, "no stop fired")
         return replace(orbit, termination=end)
 
-    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", first_unresolved)
-    code, out, _ = run(capsys, "classify", "--m", "2", "--p", "0.5",
-                       "--N", "4", "--K", "8")
-    assert code == 0
-    assert json.loads(out)["tag"] == "ToQ3"
-    assert calls == [IntegratorOptions(), tightened(IntegratorOptions())]
+    monkeypatch.setattr(cli, "integrate_from_p0", unresolved)
+    code, out, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
+                         "--N", "4", "--K", "8")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["tag"] == "Unresolved"
+    assert doc["diagnostics"] == "no stop fired"
+    assert "unresolved" in err
+    assert calls == [8.0]
 
 
 def test_find_kstar_json(capsys):
@@ -111,6 +105,22 @@ def test_sweep_without_out_exits_before_shooting(capsys, monkeypatch):
                        "--k-count", "3")
     assert code == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--k-min", "0"), ("--k-max", "-1"), ("--k-count", "-3"),
+    ("--k-count", "0"),
+], ids=["k-min-0", "k-max-negative", "k-count-negative", "k-count-0"])
+def test_sweep_rejects_bad_k_grid(tmp_path, capsys, monkeypatch, flags):
+    def no_orbits(*args, **kwargs):
+        raise AssertionError("sweep shot an orbit on an invalid K grid")
+
+    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", no_orbits)
+    code, _, err = run(capsys, "sweep", "--m", "2", "--p", "0.5", "--N", "4",
+                       *flags, "--out", str(tmp_path / "sw"))
+    assert code == 2
+    assert "K grid" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_files(tmp_path, capsys):

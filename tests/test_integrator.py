@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from selfsim import integrator
 from selfsim.integrator import (
     X_BIG,
     IntegratorOptions,
@@ -12,7 +13,6 @@ from selfsim.integrator import (
     integrate_from_p0,
     launch_from_p0,
     orbit_monotonicity_check,
-    tightened,
 )
 from selfsim.params import DomainError, ModelParams
 from selfsim.phaseplane import PhasePoint, planar_rhs
@@ -134,13 +134,6 @@ def test_options_validation():
         IntegratorOptions(rel_tol=-1.0)
 
 
-def test_tightened_escalates():
-    opts = IntegratorOptions()
-    t = tightened(opts)
-    assert t.rel_tol < opts.rel_tol
-    assert t.eta_max > opts.eta_max
-
-
 def test_launch_requires_positive_k():
     with pytest.raises(DomainError):
         launch_from_p0(SUPER, 0.0)
@@ -165,31 +158,36 @@ def _reference_xy(start, params, K, opts):
 
     escape.terminal, escape.direction = True, 1.0
     plunge.terminal, plunge.direction = True, -1.0
-    return solve_ivp(planar_rhs(params, K), (0.0, opts.eta_max),
+    return solve_ivp(planar_rhs(params, K), (0.0, integrator.ETA_MAX),
                      [start.X, start.Y], method="RK45", rtol=opts.rel_tol,
                      atol=opts.abs_tol, events=[escape, plunge])
 
 
-@pytest.mark.parametrize("params, K, opts, start, event", [
-    (CRIT, 0.05, IntegratorOptions(), None, "escape"),
-    (SUPER, 8.0, IntegratorOptions(), None, "plunge"),
-    (SUPER, 2.5488157, IntegratorOptions(), None, "escape"),
-    (SUB, 1.0, IntegratorOptions(), None, "plunge"),
-    (ModelParams(2.0, 0.5, 1), 0.3, IntegratorOptions(), None, "escape"),
-    (SUPER, 8.0, tightened(IntegratorOptions()), None, "plunge"),
-    (SUPER, 0.1, IntegratorOptions(eta_max=5.0), None, None),
+@pytest.mark.parametrize("params, K, opts, eta_max, start, event", [
+    (CRIT, 0.05, IntegratorOptions(), None, None, "escape"),
+    (SUPER, 8.0, IntegratorOptions(), None, None, "plunge"),
+    (SUPER, 2.5488157, IntegratorOptions(), None, None, "escape"),
+    (SUB, 1.0, IntegratorOptions(), None, None, "plunge"),
+    (ModelParams(2.0, 0.5, 1), 0.3, IntegratorOptions(), None, None, "escape"),
+    (SUPER, 8.0, IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14), None, None,
+     "plunge"),
+    (SUPER, 0.1, IntegratorOptions(), 5.0, None, None),
     # loose tolerances: about one attempt in three is rejected
-    (SUPER, 1.0, IntegratorOptions(rel_tol=1e-3, abs_tol=1e-5),
+    (SUPER, 1.0, IntegratorOptions(rel_tol=1e-3, abs_tol=1e-5), None,
      PhasePoint(0.5, 1.0), "escape"),
-    (CRIT, 1.0, IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8),
+    (CRIT, 1.0, IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8), None,
      PhasePoint(0.5, 1.0), "plunge"),
     # below scipy's floor of 100 eps, which both raise rtol to
-    pytest.param(SUPER, 8.0, IntegratorOptions(rel_tol=1e-15), None, "plunge",
+    pytest.param(SUPER, 8.0, IntegratorOptions(rel_tol=1e-15), None, None,
+                 "plunge",
                  marks=pytest.mark.filterwarnings("ignore:At least one")),
 ], ids=["ToQ1", "ToQ3-plunge", "ToQ3-past-X_big", "subcritical", "N1",
         "tightened", "eta-exhausted", "rejections-escape",
         "rejections-plunge", "rtol-floor"])
-def test_xy_phase_steps_as_solve_ivp_rk45(params, K, opts, start, event):
+def test_xy_phase_steps_as_solve_ivp_rk45(params, K, opts, eta_max, start,
+                                          event, monkeypatch):
+    if eta_max is not None:
+        monkeypatch.setattr(integrator, "ETA_MAX", eta_max)
     start = start or launch_from_p0(params, K, opts)
     ref = _reference_xy(start, params, K, opts)
     orbit = integrate(start, params, K, opts)
@@ -217,11 +215,11 @@ def test_start_below_plunge_line_is_q3():
     assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),)
 
 
-def test_start_past_x_big_escapes_at_once():
+def test_start_past_x_big_escapes_at_once(monkeypatch):
     # the X-Y chart is stiff out here; the escape test only saw a crossing
     # from below, so this start ran the X-Y phase to its eta budget
-    opts = IntegratorOptions(eta_max=0.05)
-    orbit = integrate(PhasePoint(2e4, 0.0), SUPER, 0.1, opts)
+    monkeypatch.setattr(integrator, "ETA_MAX", 0.05)
+    orbit = integrate(PhasePoint(2e4, 0.0), SUPER, 0.1)
     assert orbit.termination.tag is OrbitTag.TO_Q1
     assert orbit.stats[0] == PhaseStats("RK45", 0, 0, 0, 1)
     assert orbit.stats[1].method == "LSODA"

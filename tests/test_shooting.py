@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from selfsim import shooting
 from selfsim.integrator import OrbitTag
 from selfsim.params import (
     DomainError,
@@ -69,6 +70,41 @@ def test_find_k_star_critical_to_1e_10(params):
     report = find_k_star(params, tol_K=1e-10)
     assert report.notes == ""
     assert report.K_star_discrepancy < 1e-9
+
+
+@pytest.mark.parametrize("params, K_star", [
+    (SUPER, 2.5488146531), (ModelParams(3.0, 0.5, 3), 8.3447283136),
+], ids=["2-0.5-4", "3-0.5-3"])
+def test_find_k_star_supercritical_to_1e_10(params, K_star):
+    report = find_k_star(params, tol_K=1e-10)
+    assert report.notes == ""
+    assert report.K_star == pytest.approx(K_star, rel=1e-9)
+
+
+def _step_at(K_star):
+    """A stand-in for ``classify`` with its Q1/Q3 transition at K_star."""
+    def tag(params, K, opts=None):
+        return OrbitTag.TO_Q1 if K < K_star else OrbitTag.TO_Q3
+
+    return tag
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_find_k_star_rejects_nonpositive_tol(monkeypatch, tol):
+    monkeypatch.setattr(shooting, "classify", _step_at(2.5))
+    with pytest.raises(DomainError):
+        find_k_star(SUPER, tol_K=tol)
+
+
+def test_find_k_star_stops_at_float_resolution(monkeypatch):
+    # below about 1e-16 the geometric midpoint rounds onto an end of the
+    # bracket; the bisection ends there with a note instead of spinning
+    monkeypatch.setattr(shooting, "classify", _step_at(2.5488146531))
+    report = find_k_star(SUPER, tol_K=1e-16)
+    lo, hi = report.K_star_bracket
+    assert lo < hi
+    assert hi - lo < 1e-15 * lo
+    assert "float resolution" in report.notes
 
 
 def test_report_tags_are_monotone():
