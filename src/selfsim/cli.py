@@ -209,6 +209,9 @@ def _cmd_sweep(args) -> int:
     else:
         probes = tuple(sorted((K, classify_k(params, K, opts)) for K in grid))
         notes = ""
+    unresolved = [float(K) for K, t in probes if t is OrbitTag.UNRESOLVED]
+    if unresolved:
+        notes += ("; " if notes else "") + f"unresolved at K={unresolved}"
     doc = {
         "schema_version": SCHEMA_VERSION,
         **_model_meta(params),
@@ -224,6 +227,9 @@ def _cmd_sweep(args) -> int:
         ((k, t.value) for k, t in probes),
     )
     _json_dump(doc, args.out + ".json")
+    if unresolved:
+        print(f"sweep has unresolved probes: {notes}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return 0
 
 

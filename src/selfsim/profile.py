@@ -4,14 +4,12 @@ The profile solves
 
     (f^m)'' + (N-1)/xi * (f^m)' - alpha*f + beta*xi*f' + xi^sigma * f^p = 0
 
-with f(0) = 1, f'(0) = 0.  One LSODA integration starts from a series seed
-at a scale-aware offset and stops when f drops below a floor (the equation
-loses Lipschitz continuity at f = 0) or, on a tail too steep to reach the
-floor, when Y = xi*f'/f falls below -Y_STOP; the interface position xi0 is
-extrapolated from the vanishing power law of the tail.  A reconstructed
-profile evaluates anywhere through one private evaluator: the series below
-the seed offset, the dense ODE solution up to the last sample, the tail
-power law up to xi0 and 0 beyond; ``rescale`` composes it.
+with f(0) = 1, f'(0) = 0.  ``reconstruct`` integrates it in xi from a
+series seed until X = (alpha/2m) xi^2 f^(1-m) rises through ``X_BIG``, then
+carries the tail on in the slope chart (u, s, eta) = (Y/X, ln X, ln xi) of
+the planar system, where the interface is no degeneracy: s runs to infinity
+while eta converges to ln xi0.  A reconstructed profile evaluates anywhere
+through one private evaluator, which ``rescale`` composes.
 """
 
 from __future__ import annotations
@@ -22,29 +20,31 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, OdeSolution, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
-from selfsim.integrator import IntegratorOptions
+from selfsim.integrator import (LN_X_CAP, X_BIG, IntegratorOptions,
+                                 PhaseStats, _rhs_slope)
 from selfsim.params import (
     DomainError,
     ModelParams,
     Regime,
-    ShootingParam,
     alpha_beta_from_k,
     regime,
 )
 
 
-#: integration stops once f drops below this floor
-F_FLOOR = 1e-8
-#: or once Y = xi*f'/f falls below -Y_STOP: every interface type sends Y to
-#: -infinity like -e*xi0/(xi0 - xi), so this stops within about
-#: e*xi0/Y_STOP of xi0, a gap a double still resolves
-Y_STOP = 1e11
-#: samples on the uniform bulk grid and on the geometric cluster at the tail
-N_UNIFORM, N_CLUSTER = 40000, 5000
+#: floors under the tolerances of the profile runs, which the tail always
+#: takes: an error d(eta) moves ln f by |Y| d(eta), and |Y| passes 100
+RTOL_MIN, ATOL_MIN = 1e-12, 1e-14
+#: the tail ends once the rest of eta = ln xi is below ETA_TOL, its run there
+#: or once the rest is the type II closed form to CLOSED_REL, relative
+ETA_TOL, CLOSED_REL = 1e-8, 1e-15
+#: cap on the Newton iterations that invert eta(s) along the tail
+INVERT_ITERATIONS = 8
+#: samples over the bulk and over the tail
+N_UNIFORM, N_TAIL = 40000, 5000
 #: fit_interface fits the tail band f < TAIL_WINDOW * f(0)
 TAIL_WINDOW = 0.05
 
@@ -76,6 +76,8 @@ class Profile:
     xi: np.ndarray
     f: np.ndarray
     xi0: float | None = None
+    #: one record per LSODA run of ``reconstruct``: the bulk, then the tail
+    stats: tuple[PhaseStats, ...] = field(default=(), compare=False)
     #: f on a 1-d array of xi >= 0, as built by reconstruct or rescale; a
     #: profile built from samples alone gets ``_sampled`` of its samples
     _eval: Callable[[np.ndarray], np.ndarray] | None = field(
@@ -116,13 +118,12 @@ def _rhs(params: ModelParams, alpha: float, beta: float):
 
     def rhs(xi, y):
         f, g = y
-        fc = max(f, 1e-300)
-        w1 = m * fc ** (m - 1.0)
+        w1 = m * f ** (m - 1.0)
         acc = (
             alpha * f
             - beta * xi * g
-            - xi**sigma * fc**p
-            - m * (m - 1.0) * fc ** (m - 2.0) * g * g
+            - xi**sigma * f**p
+            - m * (m - 1.0) * f ** (m - 2.0) * g * g
             - (N - 1.0) / xi * w1 * g
         )
         return (g, acc / w1)
@@ -135,164 +136,156 @@ def reconstruct(
     K: float,
     opts: IntegratorOptions | None = None,
 ) -> Profile:
-    """Integrate the profile ODE from the series seed down to the interface.
+    """Integrate the profile from the series seed to its interface.
 
-    The returned samples are a fine uniform grid over the bulk plus a
-    geometric cluster approaching the interface (needed to resolve the
-    vanishing exponent); ``xi0`` is extrapolated from the best-fitting
-    power law among the admissible tail behaviors.
+    The bulk runs in xi until X = (alpha/2m) xi^2 f^(1-m) rises through
+    ``X_BIG``, the tail in the slope chart from there (``_slope_tail``).
     """
-    reg = regime(params)
-    if reg is Regime.SUBCRITICAL:
+    if regime(params) is Regime.SUBCRITICAL:
         raise DomainError("profiles with interface require m + p >= 2")
     opts = opts or IntegratorOptions()
-    sp: ShootingParam = alpha_beta_from_k(params, K)
-    alpha, beta = sp.alpha, sp.beta
-    m = params.m
+    sp = alpha_beta_from_k(params, K)
+    alpha, m, q = sp.alpha, params.m, params.power_ratio
+    eps = 1e-4 * math.sqrt(2.0 * m * params.N / (alpha * (m - 1.0)))
+    c = alpha / (2.0 * m)
 
-    scale = math.sqrt(2.0 * m * params.N / (alpha * (m - 1.0)))
-    eps = 1e-4 * scale
-    f0, g0 = _seed(params, alpha, eps)
-    # the interface can sit hundreds of hump-widths out for small K
-    xi_max = 1e5 * scale
+    def ev_hand_off(xi, y):
+        # X rising through X_BIG, written without dividing by f
+        return c * xi * xi - X_BIG * max(y[0], 0.0) ** (m - 1.0)
 
-    def ev_floor(xi, y):
-        return y[0] - F_FLOOR
+    ev_hand_off.terminal = True
+    ev_hand_off.direction = 1.0
 
-    ev_floor.terminal = True
-    ev_floor.direction = -1.0
-
-    def ev_blow(xi, y):
-        return y[0] - 1e12
-
-    ev_blow.terminal = True
-    ev_blow.direction = 1.0
-
-    def ev_steep(xi, y):
-        # Y = xi*f'/f falling through -Y_STOP, written without dividing by f
-        return xi * y[1] + Y_STOP * y[0]
-
-    ev_steep.terminal = True
-    ev_steep.direction = -1.0
-
-    sol = solve_ivp(
-        _rhs(params, alpha, beta),
-        (eps, xi_max),
-        [f0, g0],
+    # X grows like xi^2 while f stays bounded, so the hand-off always comes
+    bulk = solve_ivp(
+        _rhs(params, alpha, sp.beta),
+        (eps, math.inf),
+        _seed(params, alpha, eps),
         method="LSODA",
-        rtol=max(opts.rel_tol, 1e-12),
-        atol=max(opts.abs_tol, 1e-14),
-        events=[ev_floor, ev_blow, ev_steep],
+        rtol=max(opts.rel_tol, RTOL_MIN),
+        atol=max(opts.abs_tol, ATOL_MIN),
+        events=[ev_hand_off],
         dense_output=True,
     )
-    if len(sol.t_events[1]) > 0:
-        raise ReconstructionError(
-            "profile failed to decrease (wrong-regime call?)"
-        )
-    if sol.status == 1:
-        # the floor or the steep-tail stop; the blow-up was handled above
-        xi_f = float(sol.t[-1])
-    elif sol.status == -1 and sol.y[0, -1] < 1e-4:
-        # LSODA can fail just above the floor on a flat tail, which still
-        # pins down the interface
-        xi_f = float(sol.t[-1])
-    else:
-        raise ReconstructionError(
-            f"floor {F_FLOOR} not reached by xi = {xi_max:.3g}"
-        )
+    if bulk.status != 1:
+        raise ReconstructionError(f"bulk run failed: {bulk.message}")
+    xi_h = float(bulk.t[-1])
+    tail, tail_stats, xi0, s_last = _slope_tail(params, K, xi_h,
+                                                *bulk.y[:, -1], c)
 
-    dense = sol.sol
-    xi0, tail_exp, tail_const = _extrapolate_interface(params, dense, xi_f)
+    def xi_of_s(s):
+        # e^eta on the run, then the type II closed form it may end on
+        run = xi_h * np.exp(tail(np.minimum(s, tail.t_max))[1])
+        closed = xi0 * np.exp(-np.exp((1.0 - q) * s) / (K * (q - 1.0)))
+        return np.where(s <= tail.t_max, run, closed)
 
-    # sample grid: uniform bulk + geometric cluster approaching xi_f
-    split = min(0.985 * xi_f, xi_f - 1e-3 * (xi0 - eps))
-    bulk = np.linspace(eps, split, N_UNIFORM)
-    gaps = np.geomspace(xi0 - split, xi0 - xi_f, N_CLUSTER)
-    cluster = xi0 - gaps
-    grid = np.unique(np.concatenate([bulk, cluster]))
-    grid = grid[(grid >= eps) & (grid <= xi_f)]
-    f_vals = np.clip(dense(grid)[0], 0.0, None)
-    keep = f_vals > 0.0
-    grid, f_vals = grid[keep], f_vals[keep]
-
+    # samples: uniform in xi over the bulk and uniform in s over the tail,
+    # which is geometric in xi0 - xi there; eta stops growing in its last bits
+    s = np.linspace(tail.t_min, s_last, N_TAIL)
+    xi_tail, first = np.unique(xi_of_s(s), return_index=True)
+    xi = np.linspace(eps, xi_h, N_UNIFORM, endpoint=False)
+    f = np.concatenate([bulk.sol(xi)[0],
+                        (c * xi_tail**2 * np.exp(-s[first])) ** (1 / (m - 1))])
+    xi = np.concatenate([xi, xi_tail])
     return Profile(
         params=params,
         alpha=alpha,
-        beta=beta,
-        xi=grid,
-        f=f_vals,
+        beta=sp.beta,
+        xi=xi[f > 0.0],
+        f=f[f > 0.0],
         xi0=xi0,
-        _eval=_reconstructed(params, alpha, dense, eps, grid[-1], xi0,
-                             tail_exp, tail_const),
+        stats=(PhaseStats("LSODA", int(bulk.nfev), int(bulk.njev),
+                          len(bulk.t) - 1, int(bulk.status)), tail_stats),
+        _eval=_reconstructed(params, K, alpha, bulk.sol, eps, xi_h, tail, xi0,
+                             xi_of_s(s_last)),
     )
 
 
-def _reconstructed(params: ModelParams, alpha: float, dense, eps: float,
-                   xi_last: float, xi0: float, e: float, C: float):
-    """Series below eps, dense solution up to xi_last, C*(xi0 - xi)^e up to
-    xi0, and 0 beyond."""
+def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
+                g_h: float, c: float):
+    """Carry the profile from the hand-off to its interface in the slope chart.
+
+    ``_rhs_slope`` carries (u, eta) in s as w = u e^((2-q)s), which tends to
+    -K/(m-1) on a type II tail while u falls below any atol.  deta/ds decays
+    at least at the rate q - 1, so rest = (deta/ds)/(q-1) estimates the eta
+    still to come; on a type II tail it tends to e^((1-q)s)/(K(q-1)).  The
+    run ends once the rest is below ``ETA_TOL`` or is that closed form, which
+    the tail then follows while w relaxes at a rate (m-1)e^((2-q)s)/K that
+    soon lets rounding swamp dw/ds.  Returns the run's dense output of
+    (w, eta - ln xi_h), its ``PhaseStats``, xi0 = xi_h exp(eta + rest) and
+    the s where the rest falls below ``ETA_TOL``.
+    """
+    m, q = params.m, params.power_ratio
+    s0 = math.log(c * xi_h * xi_h) + (1.0 - m) * math.log(f_h)
+    slope = _rhs_slope(params, K)
+
+    def rhs(s, y):
+        E = math.exp((q - 2.0) * s)
+        du, deta = slope(s, (y[0] * E, y[1]))
+        return (du / E + (2.0 - q) * y[0], deta)
+
+    w0 = xi_h * g_h / f_h * math.exp((1.0 - q) * s0)
+    # stepped by hand: a terminal event would double the cost of each step
+    solver = LSODA(rhs, s0, [w0, 0.0], LN_X_CAP, rtol=RTOL_MIN, atol=ATOL_MIN)
+    ts, steps, converged = [s0], [], False
+    while not converged and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
+            raise ReconstructionError(
+                f"slope chart tail failed at ln X = {solver.t:.1f} ({message})"
+            )
+        ts.append(solver.t)
+        steps.append(solver.dense_output())
+        rest = rhs(solver.t, solver.y)[1] / (q - 1.0)
+        closed = math.exp((1.0 - q) * solver.t) / (K * (q - 1.0))
+        converged = rest < ETA_TOL or abs(closed - rest) < CLOSED_REL * rest
+    stats = PhaseStats("LSODA", int(solver.nfev), int(solver.njev),
+                       len(steps), int(converged))
+    xi0 = xi_h * math.exp(solver.y[1] + rest)
+    s_last = (solver.t if rest < ETA_TOL
+              else math.log(ETA_TOL * K * (q - 1.0)) / (1.0 - q))
+    return OdeSolution(ts, steps), stats, xi0, s_last
+
+
+def _reconstructed(params: ModelParams, K: float, alpha: float, bulk,
+                   eps: float, xi_h: float, tail: OdeSolution, xi0: float,
+                   xi_last: float):
+    """Series below eps, the bulk run up to the hand-off xi_h, the tail up
+    to xi_last mapped back by f = (alpha xi^2 e^(-s)/2m)^(1/(m-1)), and 0
+    beyond.  Newton's method inverts eta(s) on the run's dense output with
+    ds/deta = 2 - (m-1)Y, Y = w e^((q-1)s), the X equation of the planar
+    system; past the run, s solves ln(xi0/xi) = e^((1-q)s)/(K(q-1))."""
+    m, q = params.m, params.power_ratio
     c = _series_coeff(params, alpha)
-    power = 1.0 / (params.m - 1.0)
+    power = 1.0 / (m - 1.0)
+    etas = tail(tail.ts)[1]
+    xi_end = xi_h * math.exp(etas[-1])
 
     def f_of(x):
         out = np.zeros_like(x)
         head = x < eps
         if np.any(head):
             out[head] = (1.0 + c * x[head] ** 2) ** power
-        mid = (x >= eps) & (x <= xi_last)
+        mid = (x >= eps) & (x <= xi_h)
         if np.any(mid):
-            out[mid] = np.clip(dense(x[mid])[0], 0.0, None)
-        tail = (x > xi_last) & (x < xi0)
-        if np.any(tail):
-            out[tail] = C * (xi0 - x[tail]) ** e
+            out[mid] = bulk(x[mid])[0]
+        far = (x > xi_h) & (x <= xi_last)
+        if np.any(far):
+            xs = x[far]
+            eta = np.log(np.minimum(xs, xi_end) / xi_h)
+            s = np.interp(eta, etas, tail.ts)
+            for _ in range(INVERT_ITERATIONS):
+                w, miss = tail(s)
+                miss -= eta
+                if np.all(np.abs(miss) <= 1e-15 * np.maximum(eta, 1.0)):
+                    break
+                s -= miss * (2.0 - (m - 1.0) * w * np.exp((q - 1.0) * s))
+            past = xs > xi_end
+            s[past] = np.log(K * (q - 1.0) * np.log(xi0 / xs[past])) / (1 - q)
+            out[far] = (alpha / (2.0 * m) * xs * xs * np.exp(-s)) ** power
         return out
 
     return f_of
-
-
-def _extrapolate_interface(
-    params: ModelParams, dense, xi_f: float
-) -> tuple[float, float, float]:
-    """Extrapolate xi0 from the vanishing power law of the tail.
-
-    With f ~ C*(xi0 - xi)^e the slope of ln(-f') against ln f is
-    (e - 1)/e, so the exponent can be read off without knowing xi0.  The
-    measured exponent is snapped to the nearest admissible value among
-    1/(m-1) (saddle-ray interface), 1/(1-p) (node interface) and 1/m
-    (sign-change), and xi0 comes from the linear fit of f^(1/e) vs xi.
-    Returns (xi0, exponent, constant) of f ~ C*(xi0 - xi)^e.
-    """
-    m, p = params.m, params.p
-    # probe points marching into the steep tail
-    gaps = np.geomspace(1e-12 * xi_f, 0.2 * xi_f, 160)
-    xi_pts = xi_f - gaps[::-1]
-    vals = dense(xi_pts)
-    f_pts, g_pts = vals[0], vals[1]
-    sel = (f_pts > 2.0 * F_FLOOR) & (f_pts < 0.05) & (g_pts < 0.0)
-    if np.count_nonzero(sel) < 8:
-        sel = (f_pts > 0.0) & (g_pts < 0.0)
-    if np.count_nonzero(sel) < 4:
-        raise ReconstructionError("no vanishing power law fits the tail")
-    xi_pts, f_pts, g_pts = xi_pts[sel], f_pts[sel], g_pts[sel]
-
-    n_deep = min(40, len(f_pts))
-    lf, lg = np.log(f_pts[-n_deep:]), np.log(-g_pts[-n_deep:])
-    s = np.polyfit(lf, lg, 1)[0]
-    if s >= 1.0:
-        raise ReconstructionError("tail derivative does not diverge or decay")
-    e_raw = 1.0 / (1.0 - s)
-    theta = min((m - 1.0, 1.0 - p, m), key=lambda t: abs(1.0 / t - e_raw))
-
-    w = f_pts[-n_deep:] ** theta
-    A = np.vstack([xi_pts[-n_deep:], np.ones(n_deep)]).T
-    slope, intercept = np.linalg.lstsq(A, w, rcond=None)[0]
-    if slope >= 0.0:
-        raise ReconstructionError("no vanishing power law fits the tail")
-    xi0 = -intercept / slope
-    if xi0 <= xi_f:
-        # linear fit undershot; fall back to the local gap estimate
-        xi0 = xi_f + theta * f_pts[-1] / (-g_pts[-1])
-    return xi0, 1.0 / theta, (-slope) ** (1.0 / theta)
 
 
 def evaluate_f(profile: Profile, xi) -> np.ndarray:

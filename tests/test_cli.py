@@ -96,6 +96,26 @@ def test_sweep_files(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("m", [2.0, 1.2])
+def test_sweep_unresolved_exit_code(tmp_path, capsys, monkeypatch, m):
+    # both regimes write their files, name the unresolved K's and exit 3
+    def classify(params, K, opts=None):
+        return OrbitTag.UNRESOLVED if K > 0.5 else OrbitTag.TO_Q3
+
+    monkeypatch.setattr("selfsim.shooting.classify", classify)
+    prefix = str(tmp_path / "sw")
+    code, _, err = run(capsys, "sweep", "--m", str(m), "--p", "0.5", "--N",
+                       "3", "--k-min", "0.1", "--k-max", "10", "--k-count",
+                       "3", "--out", prefix)
+    assert code == 3
+    doc = json.loads((tmp_path / "sw.json").read_text())
+    assert doc["notes"].endswith("unresolved at K=[1.0, 10.0]")
+    assert [p["tag"] for p in doc["probes"]] == ["ToQ3", "Unresolved",
+                                                  "Unresolved"]
+    assert (tmp_path / "sw.csv").read_text().endswith("10.0,Unresolved\n")
+    assert "unresolved" in err
+
+
 def test_sweep_without_out_exits_before_shooting(capsys, monkeypatch):
     def no_orbits(*args, **kwargs):
         raise AssertionError("sweep shot an orbit before checking --out")

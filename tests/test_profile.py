@@ -1,9 +1,12 @@
+import math
+import signal
+
 import numpy as np
 import pytest
 
-from selfsim import profile
 from selfsim.params import DomainError, ModelParams, alpha_beta_from_k
 from selfsim.profile import (
+    FIT_WINDOW,
     InterfaceType,
     Profile,
     ReconstructionError,
@@ -21,6 +24,9 @@ K_STAR_SUPER = 2.5488157
 #: K* of (3, 1/2, 3) and of (5, 0.9, 3), bisected with find_k_star
 K_STAR_M3 = 8.344726
 K_STAR_M5 = 14.631461298134003
+#: K* of (5, 3/4, 1) and of (5, 0.9, 4), bisected with find_k_star at tol 1e-6
+K_STAR_M5_P75_N1 = 7.488502009423945
+K_STAR_M5_N4 = 18.63344041872509
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +65,9 @@ def test_interface_type_ii_below_transition(prof_fig3a):
 
 
 def test_interface_type_i_at_transition(prof_mid):
-    # at (3, 1/2, 3) the tail is steep before f reaches the floor: it stops
-    # on Y at the type I interface, short of the neck a near-K* orbit has
+    # K_STAR_M3 is 2.8e-7 below K*: the tail's eta has converged along the
+    # Q4 ray before the orbit leaves it for Q1, so the profile ends at the
+    # type I interface, short of the neck a near-K* orbit has
     m3 = reconstruct(ModelParams(3.0, 0.5, 3), K_STAR_M3)
     for prof, target in ((prof_mid, 1.0), (m3, 0.5)):
         fit = fit_interface(prof)
@@ -69,7 +76,7 @@ def test_interface_type_i_at_transition(prof_mid):
 
 
 def test_sign_change_exponent_above_transition():
-    # the (5, 0.9, 3) tail never reaches the floor; it stops on Y
+    # the (5, 0.9, 3) tail is steep: f falls like (xi0 - xi)^(1/5)
     for params, K in ((SUPER, 4.0 * K_STAR_SUPER),
                       (ModelParams(5.0, 0.9, 3), 4.0 * K_STAR_M5)):
         fit = fit_interface(reconstruct(params, K))
@@ -77,17 +84,13 @@ def test_sign_change_exponent_above_transition():
         assert fit.exponent == pytest.approx(1.0 / params.m, rel=0.1)
 
 
-def test_sign_change_profile_is_one_lsoda_run(monkeypatch):
-    calls = []
-    real = profile.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(profile, "solve_ivp", counted)
+def test_sign_change_profile_is_two_lsoda_runs():
     prof = reconstruct(SUPER, 4.0 * K_STAR_SUPER)
-    assert calls == ["LSODA"]
+    bulk, tail = prof.stats
+    assert (bulk.method, tail.method) == ("LSODA", "LSODA")
+    # the bulk ends on its hand-off event, the tail once eta has converged
+    assert (bulk.status, tail.status) == (1, 1)
+    assert bulk.steps > 0 and tail.steps > 0
     # the scaled residual of the benchmark's profile workload, on its stride
     worst = max(
         ode_residual(prof, i) / max(1.0, abs(prof.alpha * prof.f[i]))
@@ -95,6 +98,36 @@ def test_sign_change_profile_is_one_lsoda_run(monkeypatch):
         if prof.xi[1] < prof.xi[i] < 0.99 * prof.xi0
     )
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("params, k_star", [
+    (ModelParams(5.0, 0.75, 1), K_STAR_M5_P75_N1),
+    (ModelParams(5.0, 0.9, 3), K_STAR_M5),
+    (ModelParams(5.0, 0.9, 4), K_STAR_M5_N4),
+])
+def test_slow_type_ii_tails_reach_their_interface(params, k_star):
+    # these tails once crawled near f = 1e-8 for minutes; an alarm turns a
+    # regression into a failure instead of a hang
+    def hang(signum, frame):
+        raise TimeoutError("reconstruct did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        prof = reconstruct(params, k_star / 4.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert math.isfinite(prof.xi0) and prof.xi0 > prof.xi[-1]
+    # samples 1e-3 xi0 short of xi0 lie past the tail run, on its type II
+    # closed form; closer in, rounding xi costs f more than 1e-9
+    near = np.flatnonzero(prof.xi < 0.999 * prof.xi0)[-20:]
+    assert np.allclose(evaluate_f(prof, prof.xi[near]), prof.f[near],
+                       rtol=1e-9, atol=0.0)
+    fit = fit_interface(prof)
+    if fit.type_label is InterfaceType.TYPE_II:
+        target = 1.0 / (1.0 - params.p)
+        assert abs(fit.exponent - target) < FIT_WINDOW * target
 
 
 def test_critical_profile_single_interface_type():
@@ -177,10 +210,10 @@ def test_rescale_symmetry(prof_mid, lam):
 
 
 def _pieces(p):
-    """One xi in each piece of a reconstructed profile: series, dense
-    solution, tail power law, past xi0."""
+    """One xi in each piece of a reconstructed profile: series, bulk run,
+    tail run, past xi0."""
     return np.array([0.5 * p.xi[0], 0.5 * p.xi0,
-                     0.5 * (p.xi[-1] + p.xi0), 1.1 * p.xi0])
+                     0.5 * (p.xi[-2] + p.xi[-1]), 1.1 * p.xi0])
 
 
 @pytest.mark.parametrize("lam", [0.5, 3.0])
