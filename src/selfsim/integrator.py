@@ -13,7 +13,9 @@ classification happens at escape:
   to the vertical stable node Q3;
 * once X exceeds ``X_BIG`` the integration switches to the slope chart
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
-  of X;
+  of X.  The switch comes early: the -(m-1)XY term of Y' relaxes Y at a
+  rate of about (m-1)X, so an explicit step in the X-Y chart shrinks like
+  1/((m-1)X), while LSODA takes the slope chart's stiffness in stride;
 * there every tag comes from a proven stop (``_stops``): a region of the
   chart that, once entered, the orbit never leaves and that leads to one
   endpoint; an orbit that meets none by the ln X cap is ``Unresolved``.
@@ -37,8 +39,9 @@ from selfsim.phaseplane import (
     planar_rhs,
 )
 
-#: X at which an orbit escapes from the X-Y chart into the slope chart
-X_BIG = 1e4
+#: X at which an orbit escapes from the X-Y chart into the slope chart,
+#: before the X-Y chart turns stiff
+X_BIG = 1e2
 #: eta budget of the X-Y phase
 ETA_MAX = 1e3
 #: cap on ln X for the slope-chart escape phase
@@ -186,7 +189,9 @@ def _stops(params: ModelParams, K: float):
         # num <= -bound, so once the bound is positive u falls at a rate
         # bounded away from 0 until it plunges: Q3.
         def bound(s, y):
-            return (K * math.exp((q - 2.0) * s) - 0.25 * m1 * m1
+            # near m = 1, e^((q-2)s) passes the float range at a start past
+            # X_BIG; the clamp keeps the sign of the gap
+            return (K * math.exp(min((q - 2.0) * s, 700.0)) - 0.25 * m1 * m1
                     - (2.0 + 3.0 * N * m1) * math.exp(-s))
 
         stops.append((bound, OrbitTag.TO_Q3, "bound to plunge at ln X = {:.1f}"))

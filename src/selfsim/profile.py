@@ -8,8 +8,10 @@ with f(0) = 1, f'(0) = 0.  ``reconstruct`` integrates it in xi from a
 series seed until X = (alpha/2m) xi^2 f^(1-m) rises through ``X_BIG``, then
 carries the tail on in the slope chart (u, s, eta) = (Y/X, ln X, ln xi) of
 the planar system, where the interface is no degeneracy: s runs to infinity
-while eta converges to ln xi0.  A reconstructed profile evaluates anywhere
-through one private evaluator, which ``rescale`` composes.
+while eta converges to ln xi0.  The hand-off shares ``X_BIG`` with the
+orbits, so the bulk ends where their X-Y phase does.  A reconstructed
+profile evaluates anywhere through one private evaluator, which ``rescale``
+composes.
 """
 
 from __future__ import annotations

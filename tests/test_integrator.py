@@ -216,8 +216,8 @@ def test_start_below_plunge_line_is_q3():
 
 
 def test_start_past_x_big_escapes_at_once(monkeypatch):
-    # the X-Y chart is stiff out here; the escape test only saw a crossing
-    # from below, so this start ran the X-Y phase to its eta budget
+    # the escape test only saw a crossing from below, so a start past X_BIG
+    # ran the X-Y phase to its eta budget
     monkeypatch.setattr(integrator, "ETA_MAX", 0.05)
     orbit = integrate(PhasePoint(2e4, 0.0), SUPER, 0.1)
     assert orbit.termination.tag is OrbitTag.TO_Q1
@@ -227,9 +227,9 @@ def test_start_past_x_big_escapes_at_once(monkeypatch):
 
 @pytest.mark.parametrize("m, start, tag, samples", [
     # the norm of the first slope overflows: the first trial step is 0
-    (1.01, PhasePoint(1000.0, 0.0), OrbitTag.TO_Q3, 176),
+    (1.005, PhasePoint(50.0, 0.0), OrbitTag.TO_Q3, 157),
     # X^q overflows a Python float at the start: no step is taken
-    (1.005, PhasePoint(9000.0, 0.0), OrbitTag.UNRESOLVED, 1),
+    (1.003, PhasePoint(90.0, 0.0), OrbitTag.UNRESOLVED, 1),
 ])
 def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
     # solve_ivp ended these orbits the same way, with overflow warnings
@@ -302,6 +302,30 @@ def test_large_m_orbit_is_trapped():
     end = integrate_from_p0(ModelParams(7.0, 0.5, 3), 1.0).termination
     assert end.tag is OrbitTag.TO_Q1
     assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
+
+
+@pytest.mark.parametrize("params, K", [
+    (ModelParams(7.0, 0.5, 3), 0.01),
+    (ModelParams(3.0, 0.2, 2), 1e-3),
+    (ModelParams(3.0, 0.2, 2), 1e-4),
+], ids=["m7-K0.01", "m3-p0.2-K1e-3", "m3-p0.2-K1e-4"])
+def test_small_k_orbit_is_trapped_without_a_stiff_x_y_phase(params, K):
+    # small K lingers below Y = 2/(m-1), where the -(m-1)XY term makes the
+    # X-Y chart stiff at large X; the slope chart takes over at X_BIG
+    orbit = integrate_from_p0(params, K)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q1
+    assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
+    assert orbit.stats[0].nfev < 1e5
+
+
+def test_start_past_x_big_near_m_1_is_bound_to_plunge():
+    # q = 101: K e^((q-2)s) passes the float range at this start
+    orbit = integrate(PhasePoint(9000.0, 0.0), ModelParams(1.005, 0.5, 3),
+                      1e-3)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics.startswith("bound to plunge")
 
 
 def test_trap_waits_for_the_k_term():

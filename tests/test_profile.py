@@ -155,13 +155,15 @@ def test_ode_residual_index_bounds(prof_fig3a):
         ode_residual(prof_fig3a, len(prof_fig3a.xi) - 1)
 
 
-def test_profile_matches_orbit(prof_fig3a):
+def test_profile_matches_orbit(prof_fig3a, monkeypatch):
     # push the samples through X = (alpha/2m) xi^2 f^(1-m), Y = xi f'/f and
-    # compare against the phase-plane integration of the same K
-    from selfsim.integrator import integrate_from_p0
+    # compare against the phase-plane integration of the same K, kept in the
+    # X-Y chart to X = 1e4: from X_BIG = 1e2 on the trap would end it
+    from selfsim import integrator
 
+    monkeypatch.setattr(integrator, "X_BIG", 1e4)
     prof = prof_fig3a
-    orbit = integrate_from_p0(SUPER, 0.1)
+    orbit = integrator.integrate_from_p0(SUPER, 0.1)
     sel = (prof.xi > 0.1) & (prof.xi < 0.98 * prof.xi0)
     xi = prof.xi[sel][::200]
     f = evaluate_f(prof, xi)
