@@ -32,7 +32,6 @@ from selfsim.phaseplane import (
     vector_field,
 )
 from selfsim.integrator import (
-    IntegratorOptions,
     Orbit,
     OrbitEnd,
     OrbitTag,
@@ -88,7 +87,6 @@ __all__ = [
     "isocline",
     "numerical_jacobian",
     "vector_field",
-    "IntegratorOptions",
     "Orbit",
     "OrbitEnd",
     "OrbitTag",

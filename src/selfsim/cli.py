@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from selfsim.integrator import IntegratorOptions, OrbitTag, integrate, integrate_from_p0
+from selfsim.integrator import OrbitTag, integrate, integrate_from_p0
 from selfsim.params import (
     DomainError,
     ModelParams,
@@ -86,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
             group = sp.add_mutually_exclusive_group(required=True)
             group.add_argument("--K", type=float, default=None)
             group.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--rel-tol", type=float, default=None)
-        sp.add_argument("--abs-tol", type=float, default=None)
         sp.add_argument("--out", default=None)
 
     add_common(sub.add_parser("classify", help="tag of the P0-orbit at one K"))
@@ -128,20 +126,10 @@ def _shooting_from_args(params: ModelParams, args) -> ShootingParam:
     return k_from_alpha(params, args.alpha)
 
 
-def _opts_from_args(args) -> IntegratorOptions:
-    kwargs = {}
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        kwargs["abs_tol"] = args.abs_tol
-    return IntegratorOptions(**kwargs)
-
-
 def _cmd_classify(args) -> int:
     params = _model_from_args(args)
     sp = _shooting_from_args(params, args)
-    opts = _opts_from_args(args)
-    end = integrate_from_p0(params, sp.K, opts).termination
+    end = integrate_from_p0(params, sp.K).termination
     doc = {
         "schema_version": SCHEMA_VERSION,
         **_model_meta(params),
@@ -161,8 +149,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_find_kstar(args) -> int:
     params = _model_from_args(args)
-    opts = _opts_from_args(args)
-    report = find_k_star(params, tol_K=args.tol_k, opts=opts)
+    report = find_k_star(params, tol_K=args.tol_k)
     doc = {
         "schema_version": SCHEMA_VERSION,
         **_model_meta(params),
@@ -197,17 +184,16 @@ def _cmd_sweep(args) -> int:
     from selfsim.shooting import classify as classify_k
 
     params = _model_from_args(args)
-    opts = _opts_from_args(args)
     if args.out is None:
         print("sweep requires --out (file prefix)", file=sys.stderr)
         return EXIT_FLAGS
     grid = _k_grid(args)
     if regime(params) is Regime.SUBCRITICAL:
-        report = nonexistence_sweep(params, grid, opts)
+        report = nonexistence_sweep(params, grid)
         probes = report.K_grid
         notes = report.notes
     else:
-        probes = tuple(sorted((K, classify_k(params, K, opts)) for K in grid))
+        probes = tuple(sorted((K, classify_k(params, K)) for K in grid))
         notes = ""
     unresolved = [float(K) for K, t in probes if t is OrbitTag.UNRESOLVED]
     if unresolved:
@@ -236,11 +222,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile(args) -> int:
     params = _model_from_args(args)
     sp = _shooting_from_args(params, args)
-    opts = _opts_from_args(args)
     if args.out is None:
         print("profile requires --out (file prefix)", file=sys.stderr)
         return EXIT_FLAGS
-    prof = reconstruct(params, sp.K, opts)
+    prof = reconstruct(params, sp.K)
     try:
         fit = fit_interface(prof)
     except DomainError as exc:
@@ -272,12 +257,11 @@ def _cmd_profile(args) -> int:
 def _cmd_portrait(args) -> int:
     params = _model_from_args(args)
     sp = _shooting_from_args(params, args)
-    opts = _opts_from_args(args)
     if args.out is None:
         print("portrait requires --out (file prefix)", file=sys.stderr)
         return EXIT_FLAGS
     meta = {**_model_meta(params), "K": sp.K}
-    runs = [("p0", integrate_from_p0(params, sp.K, opts))]
+    runs = [("p0", integrate_from_p0(params, sp.K))]
     # generic starts bracketing the P0 direction, plus below-axis launches
     slope = launch_slope(params)
     for i, (X0, Y0) in enumerate(
@@ -289,7 +273,7 @@ def _cmd_portrait(args) -> int:
             (2.0, -2.0 * (params.m - 1.0)),
         ]
     ):
-        orbit = integrate(PhasePoint(X=X0, Y=Y0), params, sp.K, opts)
+        orbit = integrate(PhasePoint(X=X0, Y=Y0), params, sp.K)
         runs.append((f"start{i}", orbit))
     for name, orbit in runs:
         _write_csv(
@@ -304,11 +288,10 @@ def _cmd_portrait(args) -> int:
 def _cmd_tw(args) -> int:
     params = _model_from_args(args)
     sp = _shooting_from_args(params, args)
-    opts = _opts_from_args(args)
     if args.out is None:
         print("tw requires --out (file prefix)", file=sys.stderr)
         return EXIT_FLAGS
-    prof = reconstruct(params, sp.K, opts)
+    prof = reconstruct(params, sp.K)
     sol = make_solution(prof)
     tw = to_traveling_wave(sol)
     meta = {

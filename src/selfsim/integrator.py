@@ -48,6 +48,11 @@ ETA_MAX = 1e3
 LN_X_CAP = 600.0
 #: points of the shared X-grid on which orbit_monotonicity_check compares
 MONOTONICITY_GRID = 60
+#: relative and absolute tolerances of both phases of every orbit and of the
+#: profile bulk
+REL_TOL, ABS_TOL = 1e-10, 1e-12
+#: X of the launch point on the distinguished direction at P0
+LAUNCH_OFFSET = 1e-6
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5):
 # scipy's RK45 tableau read as Python floats, its rows cut to the stages
@@ -61,18 +66,6 @@ _ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2.0**0.5
-
-
-@dataclass(frozen=True)
-class IntegratorOptions:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    launch_offset: float = 1e-6
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "launch_offset"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
 
 
 class OrbitTag(Enum):
@@ -118,10 +111,8 @@ class Orbit:
     stats: tuple[PhaseStats, ...] = ()
 
 
-def launch_from_p0(
-    params: ModelParams, K: float, opts: IntegratorOptions | None = None
-) -> PhasePoint:
-    """Starting point a small offset along the distinguished direction at P0.
+def launch_from_p0(params: ModelParams, K: float) -> PhasePoint:
+    """Start ``LAUNCH_OFFSET`` along the distinguished direction at P0.
 
     The offset is applied on the X axis with the second-order correction
 
@@ -130,10 +121,9 @@ def launch_from_p0(
     (the 2/N slope becomes 1 for N=2 and 2 for N=1; the correction
     coefficient formula covers all dimensions).
     """
-    if not K > 0.0:
-        raise DomainError(f"K must be positive, got {K}")
-    opts = opts or IntegratorOptions()
-    delta = opts.launch_offset
+    if not 0.0 < K < math.inf:
+        raise DomainError(f"K must be positive and finite, got {K}")
+    delta = LAUNCH_OFFSET
     m, N, q = params.m, params.N, params.power_ratio
     corr = K * (m - 1.0) / (N * (m - 1.0) + 2.0 * (1.0 - params.p))
     Y = launch_slope(params) * delta - corr * delta**q
@@ -232,9 +222,7 @@ def _dense(t_old: float, h: float, x_old: float, y_old: float, kx, ky):
     return at
 
 
-def _xy_phase(
-    params: ModelParams, K: float, start: PhasePoint, opts: IntegratorOptions
-):
+def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     """Step the planar system from ``start`` until an event or ``ETA_MAX``.
 
     This is scipy's RK45 on two floats: the same initial step, stages,
@@ -252,8 +240,7 @@ def _xy_phase(
     """
     rhs = planar_rhs(params, K)
     m3 = 3.0 * (params.m - 1.0)
-    t_bound, atol = ETA_MAX, opts.abs_tol
-    rtol = max(opts.rel_tol, 100.0 * _EPS)  # scipy's floor under rtol
+    t_bound, rtol, atol = ETA_MAX, REL_TOL, ABS_TOL
 
     def escape_gap(X: float, Y: float) -> float:
         return X - X_BIG
@@ -362,12 +349,7 @@ def _xy_phase(
     return ts, xs, ys, event, PhaseStats("RK45", nfev, 0, len(ts) - 1, status)
 
 
-def integrate(
-    start: PhasePoint,
-    params: ModelParams,
-    K: float,
-    opts: IntegratorOptions | None = None,
-) -> Orbit:
+def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
     """Integrate from ``start`` until the orbit's endpoint can be classified.
 
     Termination is a value, not an error: orbits that cannot be resolved
@@ -377,11 +359,10 @@ def integrate(
         raise DomainError("start.X must be positive")
     if not (math.isfinite(start.X) and math.isfinite(start.Y)):
         raise DomainError("start must be finite")
-    if not K > 0.0:
-        raise DomainError(f"K must be positive, got {K}")
-    opts = opts or IntegratorOptions()
+    if not 0.0 < K < math.inf:
+        raise DomainError(f"K must be positive and finite, got {K}")
 
-    eta, X, Y, event, xy_stats = _xy_phase(params, K, start, opts)
+    eta, X, Y, event, xy_stats = _xy_phase(params, K, start)
     eta, X, Y = np.array(eta), np.array(X), np.array(Y)
     stats = (xy_stats,)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
@@ -428,8 +409,8 @@ def integrate(
         (s0, s_cap),
         [u0, eta[-1]],
         method="LSODA",
-        rtol=max(opts.rel_tol, 1e-12),
-        atol=max(opts.abs_tol, 1e-14),
+        rtol=REL_TOL,
+        atol=ABS_TOL,
         events=[gap for gap, _, _ in stops],
     )
     u_arr, eta2 = sol2.y
@@ -461,20 +442,12 @@ def integrate(
                  stats=stats + (slope_stats,))
 
 
-def integrate_from_p0(
-    params: ModelParams, K: float, opts: IntegratorOptions | None = None
-) -> Orbit:
+def integrate_from_p0(params: ModelParams, K: float) -> Orbit:
     """Convenience: launch from P0 and integrate."""
-    opts = opts or IntegratorOptions()
-    return integrate(launch_from_p0(params, K, opts), params, K, opts)
+    return integrate(launch_from_p0(params, K), params, K)
 
 
-def orbit_monotonicity_check(
-    params: ModelParams,
-    K1: float,
-    K2: float,
-    opts: IntegratorOptions | None = None,
-) -> bool:
+def orbit_monotonicity_check(params: ModelParams, K1: float, K2: float) -> bool:
     """Check that the P0-orbit moves down pointwise as K increases.
 
     Both orbits are resampled as Y(X) on a shared logarithmic X-grid below
@@ -483,8 +456,7 @@ def orbit_monotonicity_check(
     """
     if not 0.0 < K1 < K2:
         raise DomainError("need 0 < K1 < K2")
-    opts = opts or IntegratorOptions()
-    orbits = [integrate_from_p0(params, k, opts) for k in (K1, K2)]
+    orbits = [integrate_from_p0(params, k) for k in (K1, K2)]
     cap = 2.0 / (params.m - 1.0)
     xs, ys = [], []
     for orb in orbits:

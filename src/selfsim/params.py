@@ -32,8 +32,8 @@ class Regime(Enum):
 
 def sigma_critical(m: float, p: float) -> float:
     """Weight exponent 2(1-p)/(m-1) for given (m, p)."""
-    if not m > 1.0:
-        raise DomainError(f"m must be > 1, got {m}")
+    if not 1.0 < m < math.inf:
+        raise DomainError(f"m must be finite and > 1, got {m}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     return 2.0 * (1.0 - p) / (m - 1.0)
@@ -79,20 +79,32 @@ class ShootingParam:
 
 def alpha_beta_from_k(params: ModelParams, K: float) -> ShootingParam:
     """Invert the K(alpha) relation: alpha = 2m*(mK)^(-(m-1)/(m-p))."""
-    if not K > 0.0:
-        raise DomainError(f"K must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise DomainError(f"K must be positive and finite, got {K}")
     m = params.m
-    alpha = 2.0 * m * (m * K) ** (-(m - 1.0) / (m - params.p))
+    try:
+        alpha = 2.0 * m * (m * K) ** (-(m - 1.0) / (m - params.p))
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"K = {K} maps to alpha = {alpha} at m = {m}, "
+                          "past the float range")
     beta = 0.5 * (m - 1.0) * alpha
     return ShootingParam(K=K, alpha=alpha, beta=beta)
 
 
 def k_from_alpha(params: ModelParams, alpha: float) -> ShootingParam:
     """Forward map K = (1/m)*(2m/alpha)^((m-p)/(m-1))."""
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     m = params.m
-    K = (1.0 / m) * (2.0 * m / alpha) ** params.power_ratio
+    try:
+        K = (1.0 / m) * (2.0 * m / alpha) ** params.power_ratio
+    except OverflowError:
+        K = math.inf
+    if not 0.0 < K < math.inf:
+        raise DomainError(f"alpha = {alpha} maps to K = {K} at m = {m}, "
+                          "past the float range")
     beta = 0.5 * (m - 1.0) * alpha
     return ShootingParam(K=K, alpha=alpha, beta=beta)
 

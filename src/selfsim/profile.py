@@ -26,7 +26,7 @@ from scipy.integrate import LSODA, OdeSolution, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
-from selfsim.integrator import (LN_X_CAP, X_BIG, IntegratorOptions,
+from selfsim.integrator import (ABS_TOL, LN_X_CAP, REL_TOL, X_BIG,
                                  PhaseStats, _rhs_slope)
 from selfsim.params import (
     DomainError,
@@ -37,9 +37,9 @@ from selfsim.params import (
 )
 
 
-#: floors under the tolerances of the profile runs, which the tail always
-#: takes: an error d(eta) moves ln f by |Y| d(eta), and |Y| passes 100
-RTOL_MIN, ATOL_MIN = 1e-12, 1e-14
+#: tolerances of the tail, 100 times tighter than the REL_TOL and ABS_TOL of
+#: the bulk: an error d(eta) moves ln f by |Y| d(eta), and |Y| passes 100
+TAIL_RTOL, TAIL_ATOL = 1e-12, 1e-14
 #: the tail ends once the rest of eta = ln xi is below ETA_TOL, its run there
 #: or once the rest is the type II closed form to CLOSED_REL, relative
 ETA_TOL, CLOSED_REL = 1e-8, 1e-15
@@ -133,11 +133,7 @@ def _rhs(params: ModelParams, alpha: float, beta: float):
     return rhs
 
 
-def reconstruct(
-    params: ModelParams,
-    K: float,
-    opts: IntegratorOptions | None = None,
-) -> Profile:
+def reconstruct(params: ModelParams, K: float) -> Profile:
     """Integrate the profile from the series seed to its interface.
 
     The bulk runs in xi until X = (alpha/2m) xi^2 f^(1-m) rises through
@@ -145,7 +141,6 @@ def reconstruct(
     """
     if regime(params) is Regime.SUBCRITICAL:
         raise DomainError("profiles with interface require m + p >= 2")
-    opts = opts or IntegratorOptions()
     sp = alpha_beta_from_k(params, K)
     alpha, m, q = sp.alpha, params.m, params.power_ratio
     eps = 1e-4 * math.sqrt(2.0 * m * params.N / (alpha * (m - 1.0)))
@@ -164,8 +159,8 @@ def reconstruct(
         (eps, math.inf),
         _seed(params, alpha, eps),
         method="LSODA",
-        rtol=max(opts.rel_tol, RTOL_MIN),
-        atol=max(opts.abs_tol, ATOL_MIN),
+        rtol=REL_TOL,
+        atol=ABS_TOL,
         events=[ev_hand_off],
         dense_output=True,
     )
@@ -228,7 +223,8 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
 
     w0 = xi_h * g_h / f_h * math.exp((1.0 - q) * s0)
     # stepped by hand: a terminal event would double the cost of each step
-    solver = LSODA(rhs, s0, [w0, 0.0], LN_X_CAP, rtol=RTOL_MIN, atol=ATOL_MIN)
+    solver = LSODA(rhs, s0, [w0, 0.0], LN_X_CAP,
+                   rtol=TAIL_RTOL, atol=TAIL_ATOL)
     ts, steps, converged = [s0], [], False
     while not converged and solver.status == "running":
         message = solver.step()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from selfsim.integrator import IntegratorOptions, OrbitTag, integrate_from_p0
+from selfsim.integrator import OrbitTag, integrate_from_p0
 from selfsim.params import (
     DomainError,
     ModelParams,
@@ -40,24 +40,20 @@ class ClassificationReport:
     notes: str = ""
 
 
-def classify(
-    params: ModelParams, K: float, opts: IntegratorOptions | None = None
-) -> OrbitTag:
+def classify(params: ModelParams, K: float) -> OrbitTag:
     """Endpoint tag of the P0-orbit for a single K.
 
     One orbit is shot per K: every slope-chart tag comes from a proven
     stop, so a tighter run could only repeat ``Unresolved``.
     """
-    return integrate_from_p0(params, K, opts).termination.tag
+    return integrate_from_p0(params, K).termination.tag
 
 
 _K_MIN, _K_MAX = 1e-6, 1e6
 
 
 def find_k_star(
-    params: ModelParams,
-    tol_K: float = 1e-6,
-    opts: IntegratorOptions | None = None,
+    params: ModelParams, tol_K: float = 1e-6
 ) -> ClassificationReport:
     """Bracket and bisect the Q1 -> Q3 transition in K.
 
@@ -79,7 +75,7 @@ def find_k_star(
         # can be a K the search already shot
         if K in probes:
             return probes[K]
-        tag = classify(params, K, opts)
+        tag = classify(params, K)
         probes[K] = tag
         if tag is OrbitTag.UNRESOLVED:
             unresolved += 1
@@ -142,9 +138,7 @@ def find_k_star(
 
 
 def nonexistence_sweep(
-    params: ModelParams,
-    K_grid: list[float],
-    opts: IntegratorOptions | None = None,
+    params: ModelParams, K_grid: list[float]
 ) -> ClassificationReport:
     """Classify every K on a grid in the m + p < 2 regime.
 
@@ -154,7 +148,7 @@ def nonexistence_sweep(
     reg = regime(params)
     if reg is not Regime.SUBCRITICAL:
         raise DomainError("nonexistence sweep applies to m + p < 2 only")
-    probes = tuple(sorted((K, classify(params, K, opts)) for K in K_grid))
+    probes = tuple(sorted((K, classify(params, K)) for K in K_grid))
     bad = [K for K, tag in probes
            if tag not in (OrbitTag.TO_Q3, OrbitTag.UNRESOLVED)]
     notes = "" if not bad else f"unexpected non-Q3 tags at K={bad}"

@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from selfsim import integrator
 from selfsim.integrator import (
-    IntegratorOptions,
     OrbitTag,
     integrate_from_p0,
     orbit_monotonicity_check,
@@ -194,24 +194,25 @@ def test_criterion_9_traveling_waves():
            "; ".join(details))
 
 
-def test_criterion_10_tag_stability():
-    base = IntegratorOptions()
+def test_criterion_10_tag_stability(monkeypatch):
     variants = [
-        replace(base, rel_tol=base.rel_tol / 2.0),
-        replace(base, launch_offset=1e-5),
-        replace(base, launch_offset=1e-7),
+        ("REL_TOL", integrator.REL_TOL / 2.0),
+        ("LAUNCH_OFFSET", 1e-5),
+        ("LAUNCH_OFFSET", 1e-7),
     ]
     ok = True
-    for opts in variants:
-        ok = ok and integrate_from_p0(SUPER, 0.1, opts).termination.tag \
-            is OrbitTag.TO_Q1
-        ok = ok and integrate_from_p0(SUPER, 8.0, opts).termination.tag \
-            is OrbitTag.TO_Q3
-        rep = find_k_star(ModelParams(1.5, 0.5, 3), tol_K=1e-4, opts=opts)
-        ok = ok and abs(rep.K_star - 0.0625) / 0.0625 < 1e-3
-        sweep = nonexistence_sweep(
-            ModelParams(1.2, 0.5, 3), list(np.geomspace(1e-3, 1e3, 13)), opts
-        )
-        ok = ok and all(t is OrbitTag.TO_Q3 for _, t in sweep.K_grid)
+    for name, value in variants:
+        with monkeypatch.context() as mp:
+            mp.setattr(integrator, name, value)
+            ok = ok and integrate_from_p0(SUPER, 0.1).termination.tag \
+                is OrbitTag.TO_Q1
+            ok = ok and integrate_from_p0(SUPER, 8.0).termination.tag \
+                is OrbitTag.TO_Q3
+            rep = find_k_star(ModelParams(1.5, 0.5, 3), tol_K=1e-4)
+            ok = ok and abs(rep.K_star - 0.0625) / 0.0625 < 1e-3
+            sweep = nonexistence_sweep(
+                ModelParams(1.2, 0.5, 3), list(np.geomspace(1e-3, 1e3, 13))
+            )
+            ok = ok and all(t is OrbitTag.TO_Q3 for _, t in sweep.K_grid)
     report(10, "criteria 1-3 stable under rel_tol/2 and delta in {1e-5,1e-7}",
            ok)

@@ -46,9 +46,9 @@ def test_classify_shoots_one_orbit(capsys, monkeypatch):
     # an unresolved orbit is reported as it is, with its reason: no retry
     calls = []
 
-    def unresolved(params, K, opts):
+    def unresolved(params, K):
         calls.append(K)
-        orbit = integrate_from_p0(params, K, opts)
+        orbit = integrate_from_p0(params, K)
         end = OrbitEnd(OrbitTag.UNRESOLVED, math.nan, "no stop fired")
         return replace(orbit, termination=end)
 
@@ -99,7 +99,7 @@ def test_sweep_files(tmp_path, capsys):
 @pytest.mark.parametrize("m", [2.0, 1.2])
 def test_sweep_unresolved_exit_code(tmp_path, capsys, monkeypatch, m):
     # both regimes write their files, name the unresolved K's and exit 3
-    def classify(params, K, opts=None):
+    def classify(params, K):
         return OrbitTag.UNRESOLVED if K > 0.5 else OrbitTag.TO_Q3
 
     monkeypatch.setattr("selfsim.shooting.classify", classify)
@@ -241,3 +241,35 @@ def test_subcritical_find_kstar_rejected(capsys):
                        "--N", "3")
     assert code == 2
     assert "transition" in err
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("profile", ("--m", "2", "--K", "inf"), "K"),
+    ("tw", ("--m", "2", "--K", "inf"), "K"),
+    ("classify", ("--m", "2", "--K", "inf"), "K"),
+    ("profile", ("--m", "2", "--K", "1e308"), "K"),
+    ("classify", ("--m", "100", "--K", "5e-324"), "K"),
+    ("classify", ("--m", "2", "--alpha", "1e-300"), "alpha"),
+    ("classify", ("--m", "2", "--alpha", "inf"), "alpha"),
+    ("classify", ("--m", "inf", "--K", "1"), "m"),
+], ids=["profile-K-inf", "tw-K-inf", "classify-K-inf",
+        "profile-K-past-alpha-range", "classify-K-past-alpha-range",
+        "classify-alpha-past-K-range",
+        "classify-alpha-inf", "classify-m-inf"])
+def test_nonfinite_parameter_exit_code(tmp_path, capsys, command, flags, name):
+    # the parameter is rejected by name where it enters, before any solve;
+    # an exception escaping main here would be a traceback at the console
+    code, _, err = run(capsys, command, *flags, "--p", "0.5", "--N", "4",
+                       "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith(f"error: {name} ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-12"),
+                                         ("--abs-tol", "1e-14")])
+def test_tolerance_flags_are_gone(capsys, flag, value):
+    code, _, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
+                       "--N", "4", "--K", "1", flag, value)
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {value}" in err

@@ -5,7 +5,6 @@ from scipy.integrate import solve_ivp
 from selfsim import integrator
 from selfsim.integrator import (
     X_BIG,
-    IntegratorOptions,
     OrbitTag,
     PhaseStats,
     _rhs_slope,
@@ -73,21 +72,26 @@ def test_x_monotone_below_cap():
     assert np.all(np.diff(orbit.eta) > 0.0)
 
 
-def test_tags_stable_under_tolerance_halving():
-    opts = IntegratorOptions()
-    tight = IntegratorOptions(rel_tol=opts.rel_tol / 2.0)
-    for K, tag in ((0.1, OrbitTag.TO_Q1), (8.0, OrbitTag.TO_Q3)):
-        a = integrate_from_p0(SUPER, K, opts).termination
-        b = integrate_from_p0(SUPER, K, tight).termination
-        assert a.tag is tag and b.tag is tag
-        assert b.final_slope == pytest.approx(a.final_slope, rel=1e-4)
+def test_tags_stable_under_tolerance_halving(monkeypatch):
+    cases = ((0.1, OrbitTag.TO_Q1), (8.0, OrbitTag.TO_Q3))
+    base = [integrate_from_p0(SUPER, K) for K, _ in cases]
+    monkeypatch.setattr(integrator, "REL_TOL", integrator.REL_TOL / 2.0)
+    tight = [integrate_from_p0(SUPER, K) for K, _ in cases]
+    for (_, tag), a, b in zip(cases, base, tight):
+        assert a.termination.tag is tag and b.termination.tag is tag
+        assert b.termination.final_slope == pytest.approx(
+            a.termination.final_slope, rel=1e-4)
+        # the halved tolerance reaches the X-Y phase
+        assert b.stats[0].nfev != a.stats[0].nfev
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7])
-def test_tags_stable_under_launch_offset(delta):
-    opts = IntegratorOptions(launch_offset=delta)
-    assert integrate_from_p0(SUPER, 0.1, opts).termination.tag is OrbitTag.TO_Q1
-    assert integrate_from_p0(SUPER, 8.0, opts).termination.tag is OrbitTag.TO_Q3
+def test_tags_stable_under_launch_offset(delta, monkeypatch):
+    monkeypatch.setattr(integrator, "LAUNCH_OFFSET", delta)
+    orbit = integrate_from_p0(SUPER, 0.1)
+    assert orbit.X[0] == delta
+    assert orbit.termination.tag is OrbitTag.TO_Q1
+    assert integrate_from_p0(SUPER, 8.0).termination.tag is OrbitTag.TO_Q3
 
 
 def test_subcritical_grid_all_to_q3():
@@ -129,14 +133,16 @@ def test_monotonicity_preconditions():
         orbit_monotonicity_check(SUPER, 0.3, 0.2)
 
 
-def test_options_validation():
-    with pytest.raises(DomainError):
-        IntegratorOptions(rel_tol=-1.0)
-
-
 def test_launch_requires_positive_k():
     with pytest.raises(DomainError):
         launch_from_p0(SUPER, 0.0)
+
+
+def test_launch_and_integrate_require_finite_k():
+    with pytest.raises(DomainError, match="^K "):
+        launch_from_p0(SUPER, np.inf)
+    with pytest.raises(DomainError, match="^K "):
+        integrate(PhasePoint(1e-6, 0.5e-6), SUPER, np.inf)
 
 
 def test_integrate_requires_positive_start():
@@ -146,7 +152,7 @@ def test_integrate_requires_positive_start():
         integrate(PhasePoint(1.0, np.inf), SUPER, 0.1)
 
 
-def _reference_xy(start, params, K, opts):
+def _reference_xy(start, params, K):
     """The X-Y phase as solve_ivp's RK45 runs it, with terminal events."""
     m = params.m
 
@@ -159,38 +165,35 @@ def _reference_xy(start, params, K, opts):
     escape.terminal, escape.direction = True, 1.0
     plunge.terminal, plunge.direction = True, -1.0
     return solve_ivp(planar_rhs(params, K), (0.0, integrator.ETA_MAX),
-                     [start.X, start.Y], method="RK45", rtol=opts.rel_tol,
-                     atol=opts.abs_tol, events=[escape, plunge])
+                     [start.X, start.Y], method="RK45",
+                     rtol=integrator.REL_TOL, atol=integrator.ABS_TOL,
+                     events=[escape, plunge])
 
 
-@pytest.mark.parametrize("params, K, opts, eta_max, start, event", [
-    (CRIT, 0.05, IntegratorOptions(), None, None, "escape"),
-    (SUPER, 8.0, IntegratorOptions(), None, None, "plunge"),
-    (SUPER, 2.5488157, IntegratorOptions(), None, None, "escape"),
-    (SUB, 1.0, IntegratorOptions(), None, None, "plunge"),
-    (ModelParams(2.0, 0.5, 1), 0.3, IntegratorOptions(), None, None, "escape"),
-    (SUPER, 8.0, IntegratorOptions(rel_tol=1e-12, abs_tol=1e-14), None, None,
-     "plunge"),
-    (SUPER, 0.1, IntegratorOptions(), 5.0, None, None),
+@pytest.mark.parametrize("params, K, tols, eta_max, start, event", [
+    (CRIT, 0.05, None, None, None, "escape"),
+    (SUPER, 8.0, None, None, None, "plunge"),
+    (SUPER, 2.5488157, None, None, None, "escape"),
+    (SUB, 1.0, None, None, None, "plunge"),
+    (ModelParams(2.0, 0.5, 1), 0.3, None, None, None, "escape"),
+    (SUPER, 8.0, (1e-12, 1e-14), None, None, "plunge"),
+    (SUPER, 0.1, None, 5.0, None, None),
     # loose tolerances: about one attempt in three is rejected
-    (SUPER, 1.0, IntegratorOptions(rel_tol=1e-3, abs_tol=1e-5), None,
-     PhasePoint(0.5, 1.0), "escape"),
-    (CRIT, 1.0, IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8), None,
-     PhasePoint(0.5, 1.0), "plunge"),
-    # below scipy's floor of 100 eps, which both raise rtol to
-    pytest.param(SUPER, 8.0, IntegratorOptions(rel_tol=1e-15), None, None,
-                 "plunge",
-                 marks=pytest.mark.filterwarnings("ignore:At least one")),
+    (SUPER, 1.0, (1e-3, 1e-5), None, PhasePoint(0.5, 1.0), "escape"),
+    (CRIT, 1.0, (1e-6, 1e-8), None, PhasePoint(0.5, 1.0), "plunge"),
 ], ids=["ToQ1", "ToQ3-plunge", "ToQ3-past-X_big", "subcritical", "N1",
         "tightened", "eta-exhausted", "rejections-escape",
-        "rejections-plunge", "rtol-floor"])
-def test_xy_phase_steps_as_solve_ivp_rk45(params, K, opts, eta_max, start,
+        "rejections-plunge"])
+def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
                                           event, monkeypatch):
+    if tols is not None:
+        monkeypatch.setattr(integrator, "REL_TOL", tols[0])
+        monkeypatch.setattr(integrator, "ABS_TOL", tols[1])
     if eta_max is not None:
         monkeypatch.setattr(integrator, "ETA_MAX", eta_max)
-    start = start or launch_from_p0(params, K, opts)
-    ref = _reference_xy(start, params, K, opts)
-    orbit = integrate(start, params, K, opts)
+    start = start or launch_from_p0(params, K)
+    ref = _reference_xy(start, params, K)
+    orbit = integrate(start, params, K)
     xy = orbit.stats[0]
     assert xy.method == "RK45"
     assert (xy.nfev, xy.njev, xy.steps, xy.status) == (

@@ -83,7 +83,7 @@ def test_find_k_star_supercritical_to_1e_10(params, K_star):
 
 def _step_at(K_star):
     """A stand-in for ``classify`` with its Q1/Q3 transition at K_star."""
-    def tag(params, K, opts=None):
+    def tag(params, K):
         return OrbitTag.TO_Q1 if K < K_star else OrbitTag.TO_Q3
 
     return tag
