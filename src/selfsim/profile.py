@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import LSODA, OdeSolution, solve_ivp
+from scipy.integrate import LSODA, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
@@ -47,6 +47,10 @@ ETA_TOL, CLOSED_REL = 1e-8, 1e-15
 INVERT_ITERATIONS = 8
 #: samples over the bulk and over the tail
 N_UNIFORM, N_TAIL = 40000, 5000
+#: points per slice of a dense-output evaluation, which bounds its
+#: temporaries: one slice over all N_UNIFORM bulk samples raised the peak
+#: memory of a profile check by 12%
+DENSE_SLICE = 4096
 #: fit_interface fits the tail band f < TAIL_WINDOW * f(0)
 TAIL_WINDOW = 0.05
 
@@ -154,34 +158,44 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     ev_hand_off.direction = 1.0
 
     # X grows like xi^2 while f stays bounded, so the hand-off always comes
-    bulk = solve_ivp(
-        _rhs(params, alpha, sp.beta),
-        (eps, math.inf),
-        _seed(params, alpha, eps),
-        method="LSODA",
-        rtol=REL_TOL,
-        atol=ABS_TOL,
-        events=[ev_hand_off],
-        dense_output=True,
-    )
+    try:
+        bulk = solve_ivp(
+            _rhs(params, alpha, sp.beta),
+            (eps, math.inf),
+            _seed(params, alpha, eps),
+            method="LSODA",
+            rtol=REL_TOL,
+            atol=ABS_TOL,
+            events=[ev_hand_off],
+            dense_output=True,
+        )
+    except ValueError as exc:
+        # at huge K, f falls to 0 within a step below the spacing of the
+        # floats near xi, so the hand-off cannot be bracketed in that step
+        raise ReconstructionError(
+            f"bulk run at K = {K:g} failed to locate its hand-off ({exc})"
+        ) from exc
     if bulk.status != 1:
         raise ReconstructionError(f"bulk run failed: {bulk.message}")
     xi_h = float(bulk.t[-1])
+    body = _DenseRun(bulk.sol.ts, bulk.sol.interpolants)
     tail, tail_stats, xi0, s_last = _slope_tail(params, K, xi_h,
                                                 *bulk.y[:, -1], c)
+    s_end = tail.ts[-1]
 
     def xi_of_s(s):
         # e^eta on the run, then the type II closed form it may end on
-        run = xi_h * np.exp(tail(np.minimum(s, tail.t_max))[1])
+        run = xi_h * np.exp(tail(np.minimum(s, s_end))[1])
         closed = xi0 * np.exp(-np.exp((1.0 - q) * s) / (K * (q - 1.0)))
-        return np.where(s <= tail.t_max, run, closed)
+        return np.where(s <= s_end, run, closed)
 
     # samples: uniform in xi over the bulk and uniform in s over the tail,
     # which is geometric in xi0 - xi there; eta stops growing in its last bits
-    s = np.linspace(tail.t_min, s_last, N_TAIL)
-    xi_tail, first = np.unique(xi_of_s(s), return_index=True)
+    s = np.linspace(tail.ts[0], s_last, N_TAIL)
+    xi_s = xi_of_s(s)
+    xi_tail, first = np.unique(xi_s, return_index=True)
     xi = np.linspace(eps, xi_h, N_UNIFORM, endpoint=False)
-    f = np.concatenate([bulk.sol(xi)[0],
+    f = np.concatenate([body(xi)[0],
                         (c * xi_tail**2 * np.exp(-s[first])) ** (1 / (m - 1))])
     xi = np.concatenate([xi, xi_tail])
     return Profile(
@@ -193,8 +207,8 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
         xi0=xi0,
         stats=(PhaseStats("LSODA", int(bulk.nfev), int(bulk.njev),
                           len(bulk.t) - 1, int(bulk.status)), tail_stats),
-        _eval=_reconstructed(params, K, alpha, bulk.sol, eps, xi_h, tail, xi0,
-                             xi_of_s(s_last)),
+        _eval=_reconstructed(params, K, alpha, body, eps, xi_h, tail, xi0,
+                             xi_s[-1]),
     )
 
 
@@ -210,7 +224,9 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
     the tail then follows while w relaxes at a rate (m-1)e^((2-q)s)/K that
     soon lets rounding swamp dw/ds.  Returns the run's dense output of
     (w, eta - ln xi_h), its ``PhaseStats``, xi0 = xi_h exp(eta + rest) and
-    the s where the rest falls below ``ETA_TOL``.
+    the s where the rest falls below ``ETA_TOL``.  The run is stepped by
+    hand, and each step's Nordsieck array goes into the ``_DenseRun`` that
+    is its dense output.
     """
     m, q = params.m, params.power_ratio
     s0 = math.log(c * xi_h * xi_h) + (1.0 - m) * math.log(f_h)
@@ -242,17 +258,53 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
     xi0 = xi_h * math.exp(solver.y[1] + rest)
     s_last = (solver.t if rest < ETA_TOL
               else math.log(ETA_TOL * K * (q - 1.0)) / (1.0 - q))
-    return OdeSolution(ts, steps), stats, xi0, s_last
+    return _DenseRun(ts, steps), stats, xi0, s_last
 
 
-def _reconstructed(params: ModelParams, K: float, alpha: float, bulk,
-                   eps: float, xi_h: float, tail: OdeSolution, xi0: float,
-                   xi_last: float):
+class _DenseRun:
+    """The dense output of one LSODA run, evaluated a batch at a time.
+
+    Step i covers [ts[i], ts[i+1]] with the polynomial
+    sum_j yh[i, :, j] ((x - t[i]) / h[i])^j of scipy's ``LsodaDenseOutput``,
+    where t[i] is the solver's t after the step (past ts[-1] on the last
+    step of a run cut by an event), h[i] the step size and yh[i] the
+    Nordsieck array, zero-padded to the run's highest order.  A point on a
+    step end takes the step that ends there, and a point outside
+    [ts[0], ts[-1]] the nearest step.
+    """
+
+    def __init__(self, ts, steps) -> None:
+        self.ts = np.asarray(ts, dtype=float)
+        self.t = np.array([step.t for step in steps])
+        self.h = np.array([step.h for step in steps])
+        n_coef = max(len(step.p) for step in steps)
+        self.yh = np.zeros((len(steps), len(steps[0].yh), n_coef))
+        for i, step in enumerate(steps):
+            self.yh[i, :, :len(step.p)] = step.yh
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The run's state at a 1-d array x, shape (n_states, len(x))."""
+        out = np.empty((self.yh.shape[1], len(x)))
+        for lo in range(0, len(x), DENSE_SLICE):
+            xs = x[lo:lo + DENSE_SLICE]
+            i = np.clip(np.searchsorted(self.ts, xs) - 1, 0, len(self.t) - 1)
+            # powers by products: the ratio is negative, and ** on negative
+            # bases goes through libm's slow pow
+            z = np.vander((xs - self.t[i]) / self.h[i], self.yh.shape[2],
+                          increasing=True)
+            out[:, lo:lo + DENSE_SLICE] = np.einsum("ivj,ij->vi", self.yh[i], z)
+        return out
+
+
+def _reconstructed(params: ModelParams, K: float, alpha: float,
+                   bulk: _DenseRun, eps: float, xi_h: float, tail: _DenseRun,
+                   xi0: float, xi_last: float):
     """Series below eps, the bulk run up to the hand-off xi_h, the tail up
     to xi_last mapped back by f = (alpha xi^2 e^(-s)/2m)^(1/(m-1)), and 0
-    beyond.  Newton's method inverts eta(s) on the run's dense output with
-    ds/deta = 2 - (m-1)Y, Y = w e^((q-1)s), the X equation of the planar
-    system; past the run, s solves ln(xi0/xi) = e^((1-q)s)/(K(q-1))."""
+    beyond.  Newton's method inverts eta(s) on the tail run's dense output
+    with ds/deta = 2 - (m-1)Y, Y = w e^((q-1)s), the X equation of the
+    planar system, one evaluation of the whole batch per iteration; past
+    the run, s solves ln(xi0/xi) = e^((1-q)s)/(K(q-1))."""
     m, q = params.m, params.power_ratio
     c = _series_coeff(params, alpha)
     power = 1.0 / (m - 1.0)

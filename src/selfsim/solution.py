@@ -34,10 +34,14 @@ def make_solution(profile: Profile) -> EternalSolution:
                            beta=profile.beta)
 
 
-def evaluate_u(sol: EternalSolution, r, t: float):
-    """u(r, t) = exp(alpha*t) * f(r * exp(-beta*t)); 0 beyond the interface."""
-    xi = np.asarray(r, dtype=float) * math.exp(-sol.beta * t)
-    return math.exp(sol.alpha * t) * evaluate_f(sol.profile, xi)
+def evaluate_u(sol: EternalSolution, r, t):
+    """u(r, t) = exp(alpha*t) * f(r * exp(-beta*t)); 0 beyond the interface.
+
+    r and t broadcast against each other.
+    """
+    t = np.asarray(t, dtype=float)
+    xi = np.asarray(r, dtype=float) * np.exp(-sol.beta * t)
+    return np.exp(sol.alpha * t) * evaluate_f(sol.profile, xi)
 
 
 def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
@@ -50,13 +54,11 @@ def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
         raise DomainError(f"h must be positive, got {h}")
     params = sol.profile.params
     m, N, sigma, p = params.m, params.N, params.sigma, params.p
-
-    def u(rr, tt):
-        return evaluate_u(sol, abs(rr), tt)
-
-    u0 = u(r, t)
-    u_t, _ = _central(u(r, t - h), u0, u(r, t + h), h)
-    w_r, w_rr = _central(u(r - h, t) ** m, u0**m, u(r + h, t) ** m, h)
+    # the five stencil points (r, t), (r, t -/+ h), (r -/+ h, t) in one call
+    u0, u_early, u_late, u_in, u_out = evaluate_u(
+        sol, np.abs([r, r, r, r - h, r + h]), [t, t - h, t + h, t, t]).tolist()
+    u_t, _ = _central(u_early, u0, u_late, h)
+    w_r, w_rr = _central(u_in**m, u0**m, u_out**m, h)
     return float(u_t - w_rr - (N - 1.0) / r * w_r - r**sigma * u0**p)
 
 
@@ -153,7 +155,7 @@ def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
     """The five terms of the traveling-wave operator at z, by central
     differences with step h."""
     params = tw.params
-    F = [float(tw_value_on(tw.profile, zz)) for zz in (z - h, z, z + h)]
+    F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
     w = [v ** params.m for v in F]
     Fp, _ = _central(*F, h)
     w_p, w_pp = _central(*w, h)

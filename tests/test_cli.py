@@ -236,6 +236,18 @@ def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "20 samples" in err
 
 
+def test_profile_at_huge_k_exit_code(tmp_path, capsys):
+    # alpha = 2.5e-200 is finite, but f falls to 0 within one bulk step
+    # narrower than the float spacing near xi; this once escaped main as a
+    # ValueError from brentq
+    code, _, err = run(capsys, "profile", "--m", "2", "--p", "0.5", "--N", "4",
+                       "--K", "1e300", "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "K = 1e+300" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_subcritical_find_kstar_rejected(capsys):
     code, _, err = run(capsys, "find-kstar", "--m", "1.2", "--p", "0.5",
                        "--N", "3")

@@ -3,9 +3,12 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
+from selfsim import profile as profile_module
 from selfsim.params import DomainError, ModelParams, alpha_beta_from_k
 from selfsim.profile import (
+    DENSE_SLICE,
     FIT_WINDOW,
     InterfaceType,
     Profile,
@@ -184,6 +187,61 @@ def test_evaluate_f_piecewise(prof_fig3a):
     # vector evaluation round-trips the stored samples
     vals = evaluate_f(prof, prof.xi[::500])
     assert np.allclose(vals, prof.f[::500], rtol=1e-9)
+
+
+def _reconstruct_recording(monkeypatch, params, K):
+    """reconstruct, with the (ts, steps) and the evaluator of each of its
+    two LSODA runs: the bulk, then the tail."""
+    runs = []
+
+    class Recording(profile_module._DenseRun):
+        def __init__(self, ts, steps):
+            super().__init__(ts, steps)
+            runs.append((list(ts), list(steps), self))
+
+    monkeypatch.setattr(profile_module, "_DenseRun", Recording)
+    return reconstruct(params, K), runs
+
+
+@pytest.mark.parametrize("params, K", [(SUPER, 0.1),
+                                       (ModelParams(3.0, 0.5, 3),
+                                        0.5 * K_STAR_M3)])
+def test_dense_run_matches_scipy_ode_solution(monkeypatch, params, K):
+    # the evaluator reads LsodaDenseOutput's t, h, yh and p; scipy's own
+    # OdeSolution over the same steps is the reference
+    _, runs = _reconstruct_recording(monkeypatch, params, K)
+    assert len(runs) == 2
+    rng = np.random.default_rng(3)
+    for ts, steps, dense in runs:
+        reference = OdeSolution(ts, steps)
+        t_min, t_max = reference.t_min, reference.t_max
+        x = np.concatenate([ts, [t_min, t_max],
+                            rng.uniform(t_min, t_max, 2 * DENSE_SLICE + 17)])
+        want = reference(x)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(dense(x) - want) <= 1e-13 * scale)
+
+
+def test_array_evaluation_matches_scalar_calls(monkeypatch):
+    # a type II tail whose run ends on the closed form, short of the last
+    # sample
+    prof, runs = _reconstruct_recording(monkeypatch, ModelParams(3.0, 0.5, 3),
+                                        0.5 * K_STAR_M3)
+    (bulk_ts, _, _), (_, _, tail) = runs
+    xi_h = bulk_ts[-1]
+    xi_run_end = xi_h * math.exp(tail(tail.ts[-1:])[1, 0])
+    xi_last = prof.xi[-1]
+    assert xi_run_end < xi_last < prof.xi0
+    x = np.array([0.0, 0.5 * prof.xi[0],                  # series head
+                  prof.xi[0], 0.3 * xi_h, xi_h,          # bulk run
+                  1.01 * xi_h, 0.5 * (xi_h + xi_run_end),  # tail run
+                  xi_run_end,
+                  0.5 * (xi_run_end + xi_last), xi_last,  # closed form
+                  0.5 * (xi_last + prof.xi0), prof.xi0, 1.1 * prof.xi0])
+    for p, xs in ((prof, x), (rescale(prof, 3.0), x / 3.0)):
+        scalars = np.array([evaluate_f(p, float(v)) for v in xs])
+        assert np.all(scalars[:-3] > 0.0) and np.all(scalars[-3:] == 0.0)
+        assert np.allclose(evaluate_f(p, xs), scalars, rtol=1e-14, atol=0.0)
 
 
 def test_rescale_identity(prof_mid):
