@@ -1,8 +1,11 @@
 """Command-line front end with deterministic, diff-stable file output.
 
-Every command echoes the model parameters (including the derived weight
-exponent sigma) in its output; floats are printed with round-trip
-precision so identical inputs produce byte-identical files.
+Each ``_cmd_*`` computes its result and returns its JSON fields (or None),
+its CSV tables as ``(suffix, meta, columns, rows)`` and a failure message
+(or ""); ``main`` alone writes them and picks the exit code. Every output
+echoes the model parameters (including the derived weight exponent sigma);
+floats are printed with round-trip precision so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,13 +14,18 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
+from selfsim import shooting
 from selfsim.integrator import OrbitTag, integrate, integrate_from_p0
 from selfsim.params import (
     DomainError,
     ModelParams,
+    Regime,
     ShootingParam,
     alpha_beta_from_k,
     k_from_alpha,
+    regime,
 )
 from selfsim.phaseplane import PhasePoint, launch_slope
 from selfsim.profile import ReconstructionError, fit_interface, reconstruct
@@ -37,15 +45,6 @@ EXIT_NUMERICAL = 3
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _json_dump(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _write_csv(path: str, meta: dict, columns: list[str], rows) -> None:
@@ -76,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_k=True):
+    def add_common(name, summary, with_k=True, files=True):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--m", type=float, required=True)
         sp.add_argument("--p", type=float, required=True)
         sp.add_argument("--N", type=int, required=True)
@@ -86,26 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
             group = sp.add_mutually_exclusive_group(required=True)
             group.add_argument("--K", type=float, default=None)
             group.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", required=files,
+                        help="prefix of the output files")
+        return sp
 
-    add_common(sub.add_parser("classify", help="tag of the P0-orbit at one K"))
-
-    sp = sub.add_parser("find-kstar", help="bracket the Q1/Q3 transition")
-    add_common(sp, with_k=False)
+    add_common("classify", "tag of the P0-orbit at one K", files=False)
+    sp = add_common("find-kstar", "bracket the Q1/Q3 transition",
+                    with_k=False, files=False)
     sp.add_argument("--tol-k", type=float, default=1e-6)
-
-    sp = sub.add_parser("sweep", help="classify a log-grid of K values")
-    add_common(sp, with_k=False)
+    sp = add_common("sweep", "classify a log-grid of K values", with_k=False)
     sp.add_argument("--k-min", type=float, default=1e-3)
     sp.add_argument("--k-max", type=float, default=1e3)
     sp.add_argument("--k-count", type=int, default=13)
-
-    add_common(sub.add_parser(
-        "profile", help="reconstruct f(xi) and fit its interface"))
-    add_common(sub.add_parser(
-        "portrait", help="orbit data files for a phase-plane portrait"))
-    add_common(sub.add_parser(
-        "tw", help="traveling-wave profile of the transformed equation"))
+    add_common("profile", "reconstruct f(xi) and fit its interface")
+    add_common("portrait", "orbit data files for a phase-plane portrait")
+    add_common("tw", "traveling-wave profile of the transformed equation")
     return parser
 
 
@@ -126,13 +121,10 @@ def _shooting_from_args(params: ModelParams, args) -> ShootingParam:
     return k_from_alpha(params, args.alpha)
 
 
-def _cmd_classify(args) -> int:
-    params = _model_from_args(args)
+def _cmd_classify(params: ModelParams, args):
     sp = _shooting_from_args(params, args)
     end = integrate_from_p0(params, sp.K).termination
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_model_meta(params),
+    fields = {
         "k": sp.K,
         "alpha": sp.alpha,
         "beta": sp.beta,
@@ -140,19 +132,13 @@ def _cmd_classify(args) -> int:
         "final_slope": end.final_slope,
         "diagnostics": end.diagnostics,
     }
-    _json_dump(doc, args.out)
-    if end.tag is OrbitTag.UNRESOLVED:
-        print("orbit endpoint unresolved", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return 0
+    unresolved = end.tag is OrbitTag.UNRESOLVED
+    return fields, [], "orbit endpoint unresolved" if unresolved else ""
 
 
-def _cmd_find_kstar(args) -> int:
-    params = _model_from_args(args)
+def _cmd_find_kstar(params: ModelParams, args):
     report = find_k_star(params, tol_K=args.tol_k)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_model_meta(params),
+    fields = {
         "regime": report.regime.value,
         "k_star": report.K_star,
         "k_star_bracket": list(report.K_star_bracket),
@@ -162,16 +148,11 @@ def _cmd_find_kstar(args) -> int:
         "probes": [{"k": k, "tag": tag.value} for k, tag in report.K_grid],
         "notes": report.notes,
     }
-    _json_dump(doc, args.out)
-    if report.notes:
-        print(f"bisection stopped early: {report.notes}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return 0
+    failure = f"bisection stopped early: {report.notes}" if report.notes else ""
+    return fields, [], failure
 
 
 def _k_grid(args) -> list[float]:
-    import numpy as np
-
     if not (args.k_min > 0.0 and args.k_max > 0.0 and args.k_count >= 1):
         raise DomainError(
             "the K grid needs --k-min > 0, --k-max > 0 and --k-count >= 1"
@@ -179,69 +160,42 @@ def _k_grid(args) -> list[float]:
     return list(np.geomspace(args.k_min, args.k_max, args.k_count))
 
 
-def _cmd_sweep(args) -> int:
-    from selfsim.params import Regime, regime
-    from selfsim.shooting import classify as classify_k
-
-    params = _model_from_args(args)
-    if args.out is None:
-        print("sweep requires --out (file prefix)", file=sys.stderr)
-        return EXIT_FLAGS
+def _cmd_sweep(params: ModelParams, args):
     grid = _k_grid(args)
-    if regime(params) is Regime.SUBCRITICAL:
+    reg = regime(params)
+    if reg is Regime.SUBCRITICAL:
         report = nonexistence_sweep(params, grid)
         probes = report.K_grid
         notes = report.notes
     else:
-        probes = tuple(sorted((K, classify_k(params, K)) for K in grid))
+        # looked up at call time, so a patched shooting.classify is seen
+        probes = tuple(sorted((K, shooting.classify(params, K)) for K in grid))
         notes = ""
     unresolved = [float(K) for K, t in probes if t is OrbitTag.UNRESOLVED]
     if unresolved:
         notes += ("; " if notes else "") + f"unresolved at K={unresolved}"
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_model_meta(params),
-        "regime": regime(params).value,
+    fields = {
+        "regime": reg.value,
         "all_to_q3": all(t is OrbitTag.TO_Q3 for _, t in probes),
         "probes": [{"k": k, "tag": t.value} for k, t in probes],
         "notes": notes,
     }
-    _write_csv(
-        args.out + ".csv",
-        {**_model_meta(params), "regime": regime(params).value},
-        ["K", "tag"],
-        ((k, t.value) for k, t in probes),
-    )
-    _json_dump(doc, args.out + ".json")
-    if unresolved:
-        print(f"sweep has unresolved probes: {notes}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return 0
+    csv = (".csv", {"regime": reg.value}, ["K", "tag"],
+           [(k, t.value) for k, t in probes])
+    failure = f"sweep has unresolved probes: {notes}" if unresolved else ""
+    return fields, [csv], failure
 
 
-def _cmd_profile(args) -> int:
-    params = _model_from_args(args)
+def _cmd_profile(params: ModelParams, args):
     sp = _shooting_from_args(params, args)
-    if args.out is None:
-        print("profile requires --out (file prefix)", file=sys.stderr)
-        return EXIT_FLAGS
     prof = reconstruct(params, sp.K)
     try:
         fit = fit_interface(prof)
     except DomainError as exc:
         # no fit on a reconstructed tail is a numerical failure, not a flag
         raise ReconstructionError(str(exc)) from exc
-    meta = {
-        **_model_meta(params),
-        "K": sp.K,
-        "alpha": prof.alpha,
-        "beta": prof.beta,
-        "xi0": prof.xi0,
-    }
-    _write_csv(args.out + ".csv", meta, ["xi", "f"], zip(prof.xi, prof.f))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_model_meta(params),
+    meta = {"K": sp.K, "alpha": prof.alpha, "beta": prof.beta, "xi0": prof.xi0}
+    fields = {
         "k": sp.K,
         "alpha": prof.alpha,
         "beta": prof.beta,
@@ -250,60 +204,35 @@ def _cmd_profile(args) -> int:
         "interface_constant": fit.constant,
         "interface_type": fit.type_label.value,
     }
-    _json_dump(doc, args.out + ".json")
-    return 0
+    return fields, [(".csv", meta, ["xi", "f"], zip(prof.xi, prof.f))], ""
 
 
-def _cmd_portrait(args) -> int:
-    params = _model_from_args(args)
+def _cmd_portrait(params: ModelParams, args):
     sp = _shooting_from_args(params, args)
-    if args.out is None:
-        print("portrait requires --out (file prefix)", file=sys.stderr)
-        return EXIT_FLAGS
-    meta = {**_model_meta(params), "K": sp.K}
-    runs = [("p0", integrate_from_p0(params, sp.K))]
     # generic starts bracketing the P0 direction, plus below-axis launches
     slope = launch_slope(params)
-    for i, (X0, Y0) in enumerate(
-        [
-            (0.5, 2.0 * slope),
-            (0.5, 0.5 * slope),
-            (1.0, -0.5),
-            (2.0, 1.0),
-            (2.0, -2.0 * (params.m - 1.0)),
-        ]
-    ):
-        orbit = integrate(PhasePoint(X=X0, Y=Y0), params, sp.K)
-        runs.append((f"start{i}", orbit))
-    for name, orbit in runs:
-        _write_csv(
-            f"{args.out}_{name}.csv",
-            {**meta, "tag": orbit.termination.tag.value},
-            ["eta", "X", "Y"],
-            zip(orbit.eta, orbit.X, orbit.Y),
-        )
-    return 0
+    starts = [
+        (0.5, 2.0 * slope),
+        (0.5, 0.5 * slope),
+        (1.0, -0.5),
+        (2.0, 1.0),
+        (2.0, -2.0 * (params.m - 1.0)),
+    ]
+    runs = [("p0", integrate_from_p0(params, sp.K))] + [
+        (f"start{i}", integrate(PhasePoint(X=X0, Y=Y0), params, sp.K))
+        for i, (X0, Y0) in enumerate(starts)
+    ]
+    csvs = [(f"_{name}.csv", {"K": sp.K, "tag": orbit.termination.tag.value},
+             ["eta", "X", "Y"], zip(orbit.eta, orbit.X, orbit.Y))
+            for name, orbit in runs]
+    return None, csvs, ""
 
 
-def _cmd_tw(args) -> int:
-    params = _model_from_args(args)
+def _cmd_tw(params: ModelParams, args):
     sp = _shooting_from_args(params, args)
-    if args.out is None:
-        print("tw requires --out (file prefix)", file=sys.stderr)
-        return EXIT_FLAGS
-    prof = reconstruct(params, sp.K)
-    sol = make_solution(prof)
-    tw = to_traveling_wave(sol)
-    meta = {
-        **_model_meta(params),
-        "K": sp.K,
-        "c": tw.c,
-        "support_edge": tw.support_edge,
-    }
-    _write_csv(args.out + ".csv", meta, ["z", "F"], zip(tw.z_grid, tw.F))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_model_meta(params),
+    tw = to_traveling_wave(make_solution(reconstruct(params, sp.K)))
+    meta = {"K": sp.K, "c": tw.c, "support_edge": tw.support_edge}
+    fields = {
         "k": sp.K,
         "c": tw.c,
         "support_edge": tw.support_edge,
@@ -313,8 +242,7 @@ def _cmd_tw(args) -> int:
         # for w(y, tau) = F(y - c*tau)
         "wave_form": "F(y - c*tau)",
     }
-    _json_dump(doc, args.out + ".json")
-    return 0
+    return fields, [(".csv", meta, ["z", "F"], zip(tw.z_grid, tw.F))], ""
 
 
 _COMMANDS = {
@@ -334,13 +262,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_FLAGS if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        params = _model_from_args(args)
+        fields, csvs, failure = _COMMANDS[args.command](params, args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAGS
     except (BracketError, ReconstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    meta = _model_meta(params)
+    for suffix, extra, columns, rows in csvs:
+        _write_csv(args.out + suffix, {**meta, **extra}, columns, rows)
+    if fields is not None:
+        doc = {"schema_version": SCHEMA_VERSION, **meta, **fields}
+        text = json.dumps(doc, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out + ".json", "w", encoding="utf-8") as fh:
+                fh.write(text)
+    if failure:
+        print(failure, file=sys.stderr)
+        return EXIT_NUMERICAL
+    return 0
 
 
 if __name__ == "__main__":

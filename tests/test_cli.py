@@ -116,15 +116,40 @@ def test_sweep_unresolved_exit_code(tmp_path, capsys, monkeypatch, m):
     assert "unresolved" in err
 
 
-def test_sweep_without_out_exits_before_shooting(capsys, monkeypatch):
-    def no_orbits(*args, **kwargs):
-        raise AssertionError("sweep shot an orbit before checking --out")
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ("--k-count", "3")),
+    ("profile", ("--K", "0.5")),
+    ("portrait", ("--K", "0.1")),
+    ("tw", ("--K", "0.5")),
+], ids=["sweep", "profile", "portrait", "tw"])
+def test_without_out_exits_before_shooting(capsys, monkeypatch, command,
+                                           flags):
+    # argparse requires --out, so no orbit is shot and no profile rebuilt
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"{command} solved before checking --out")
 
-    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", no_orbits)
-    code, _, err = run(capsys, "sweep", "--m", "2", "--p", "0.5", "--N", "4",
-                       "--k-count", "3")
+    for name in ("integrate_from_p0", "integrate", "reconstruct"):
+        monkeypatch.setattr(cli, name, no_solve)
+    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", no_solve)
+    code, out, err = run(capsys, command, "--m", "2", "--p", "0.5",
+                         "--N", "4", *flags)
     assert code == 2
-    assert "--out" in err
+    assert out == ""
+    assert "the following arguments are required: --out" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--m", "2", "--p", "0.5", "--N", "4", "--K", "8"),
+    ("find-kstar", "--m", "1.5", "--p", "0.5", "--N", "3", "--tol-k", "1e-4"),
+], ids=["classify", "find-kstar"])
+def test_out_is_a_prefix(tmp_path, capsys, argv):
+    # the JSON that goes to stdout without --out goes to <out>.json with it
+    _, stdout_doc, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "P"))
+    assert code == 0
+    assert out == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["P.json"]
+    assert (tmp_path / "P.json").read_text() == stdout_doc
 
 
 @pytest.mark.parametrize("flags", [
@@ -204,6 +229,18 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "find-kstar", "--m", "2", "--p", "0.5", "--N", "4")
     assert code == 3
     assert "no bracket" in err
+
+
+def test_find_kstar_unresolved_guard_exit_code(capsys, monkeypatch):
+    def unresolved_up_to_one(params, K):
+        return OrbitTag.UNRESOLVED if K <= 1.0 else OrbitTag.TO_Q3
+
+    monkeypatch.setattr("selfsim.shooting.classify", unresolved_up_to_one)
+    code, out, err = run(capsys, "find-kstar", "--m", "2", "--p", "0.5",
+                         "--N", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: too many unresolved probes (3/3)\n"
 
 
 def test_find_kstar_stall_exit_code(capsys, monkeypatch):

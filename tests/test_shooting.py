@@ -11,7 +11,12 @@ from selfsim.params import (
     alpha_star_critical,
     k_from_alpha,
 )
-from selfsim.shooting import classify, find_k_star, nonexistence_sweep
+from selfsim.shooting import (
+    BracketError,
+    classify,
+    find_k_star,
+    nonexistence_sweep,
+)
 
 SUPER = ModelParams(2.0, 0.5, 4)
 CRIT = ModelParams(1.5, 0.5, 3)
@@ -105,6 +110,19 @@ def test_find_k_star_stops_at_float_resolution(monkeypatch):
     assert lo < hi
     assert hi - lo < 1e-15 * lo
     assert "float resolution" in report.notes
+
+
+def _unresolved_up_to_one(params, K):
+    return OrbitTag.UNRESOLVED if K <= 1.0 else OrbitTag.TO_Q3
+
+
+def test_find_k_star_gives_up_on_unresolved_probes(monkeypatch):
+    # the search for a Q1 end probes K = 1, 1/8, 1/64: the third unresolved
+    # probe is more than the max(2, probes // 10) the guard tolerates
+    monkeypatch.setattr(shooting, "classify", _unresolved_up_to_one)
+    with pytest.raises(BracketError,
+                       match=r"^too many unresolved probes \(3/3\)$"):
+        find_k_star(SUPER)
 
 
 def test_report_tags_are_monotone():
