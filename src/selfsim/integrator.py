@@ -1,11 +1,12 @@
 """Adaptive integration of the planar system with endpoint classification.
 
-Orbits of the planar system, whose one right-hand side is
-``phaseplane.planar_rhs``, are advanced in the autonomous time eta by an
-in-module scalar Dormand-Prince 5(4) loop: the method, tableau, initial
-step, error norm and step-size controller of scipy's RK45, step for step,
-with the escape and plunge events tested as two scalars after each
-accepted step instead of through ``solve_ivp``'s per-step event machinery.
+Orbits of the planar system, whose one vector field is
+``phaseplane.planar_field``, are advanced in the autonomous time eta by an
+in-module scalar Dormand-Prince 5(4) step, its six stages written out as
+float arithmetic over that field: the method, tableau, initial step, error
+norm and step-size controller of scipy's RK45, step for step, with the
+escape and plunge events tested as two scalars after each accepted step
+instead of through ``solve_ivp``'s per-step event machinery.
 The free boundary of the profile is only reached as X -> infinity, so
 classification happens at escape:
 
@@ -36,7 +37,7 @@ from selfsim.phaseplane import (
     PhasePoint,
     critical_slopes,
     launch_slope,
-    planar_rhs,
+    planar_field,
 )
 
 #: X at which an orbit escapes from the X-Y chart into the slope chart,
@@ -57,7 +58,6 @@ LAUNCH_OFFSET = 1e-6
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5):
 # scipy's RK45 tableau read as Python floats, its rows cut to the stages
 # they combine
-_C = RK45.C.tolist()
 _A = [row[:s] for s, row in enumerate(RK45.A.tolist())]
 _B = RK45.B.tolist()
 _E = RK45.E.tolist()
@@ -238,7 +238,7 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     Returns the samples (eta, X, Y) as lists, the event that ended the
     phase ("escape", "plunge" or None) and the phase's ``PhaseStats``.
     """
-    rhs = planar_rhs(params, K)
+    field = planar_field(params, K)
     m3 = 3.0 * (params.m - 1.0)
     t_bound, rtol, atol = ETA_MAX, REL_TOL, ABS_TOL
 
@@ -256,22 +256,22 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     if g_escape >= 0.0 and y < 2.0 / (params.m - 1.0):
         return ts, xs, ys, "escape", PhaseStats("RK45", 0, 0, 0, 1)
 
-    def rhs_or_nan(X: float, Y: float) -> tuple[float, float]:
+    def field_or_nan(X: float, Y: float) -> tuple[float, float]:
         # at a start with X^q past the float range, numpy's float64 power
         # overflows to inf where a Python float's raises; either way no
         # step is taken
         try:
-            return rhs(0.0, (X, Y))
+            return field(X, Y)
         except OverflowError:
             return math.nan, math.nan
 
     # initial step (Hairer, Norsett & Wanner II.4), as select_initial_step
-    fx, fy = rhs_or_nan(x, y)
+    fx, fy = field_or_nan(x, y)
     sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
     d0, d1 = _rms(x / sx, y / sy), _rms(fx / sx, fy / sy)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    f1x, f1y = rhs_or_nan(x + h0 * fx, y + h0 * fy)
+    f1x, f1y = field_or_nan(x + h0 * fx, y + h0 * fy)
     # h0 is 0 only where d1 is infinite; the first step is then 0 too
     d2 = _rms((f1x - fx) / sx, (f1y - fy) / sy) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -281,7 +281,13 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     h_abs = min(100.0 * h0, h1, t_bound)
     nfev = 2
 
-    kx, ky = [0.0] * 7, [0.0] * 7
+    # the stages written out over the tableau's nonzero entries (B[1] and
+    # E[1] are 0), each sum in scipy's order; the field is autonomous, so
+    # the stage times C drop out
+    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _A[1:]
+    b0, _, b2, b3, b4, b5 = _B
+    e0, _, e2, e3, e4, e5, e6 = _E
     event = status = None
     while status is None:
         min_step = 10.0 * math.ulp(t)
@@ -291,24 +297,29 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            kx[0], ky[0] = fx, fy
-            for s in range(1, 6):
-                dx = dy = 0.0
-                for kxj, kyj, a in zip(kx, ky, _A[s]):
-                    dx += kxj * a
-                    dy += kyj * a
-                kx[s], ky[s] = rhs(t + _C[s] * h, (x + dx * h, y + dy * h))
-            dx = dy = 0.0
-            for kxj, kyj, b in zip(kx, ky, _B):
-                dx += kxj * b
-                dy += kyj * b
-            x_new, y_new = x + h * dx, y + h * dy
-            kx[6], ky[6] = rhs(t_new, (x_new, y_new))
+            k1x, k1y = field(x + fx * a10 * h, y + fy * a10 * h)
+            k2x, k2y = field(x + (fx * a20 + k1x * a21) * h,
+                             y + (fy * a20 + k1y * a21) * h)
+            k3x, k3y = field(x + (fx * a30 + k1x * a31 + k2x * a32) * h,
+                             y + (fy * a30 + k1y * a31 + k2y * a32) * h)
+            k4x, k4y = field(
+                x + (fx * a40 + k1x * a41 + k2x * a42 + k3x * a43) * h,
+                y + (fy * a40 + k1y * a41 + k2y * a42 + k3y * a43) * h)
+            k5x, k5y = field(
+                x + (fx * a50 + k1x * a51 + k2x * a52 + k3x * a53
+                     + k4x * a54) * h,
+                y + (fy * a50 + k1y * a51 + k2y * a52 + k3y * a53
+                     + k4y * a54) * h)
+            x_new = x + h * (fx * b0 + k2x * b2 + k3x * b3 + k4x * b4
+                             + k5x * b5)
+            y_new = y + h * (fy * b0 + k2y * b2 + k3y * b3 + k4y * b4
+                             + k5y * b5)
+            k6x, k6y = field(x_new, y_new)
             nfev += 6
-            ex = ey = 0.0
-            for kxj, kyj, e in zip(kx, ky, _E):
-                ex += kxj * e
-                ey += kyj * e
+            ex = (fx * e0 + k2x * e2 + k3x * e3 + k4x * e4 + k5x * e5
+                  + k6x * e6)
+            ey = (fy * e0 + k2y * e2 + k3y * e3 + k4y * e4 + k5y * e5
+                  + k6y * e6)
             err = _rms(
                 ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
                 ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
@@ -329,7 +340,8 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
         escaped = g_escape <= 0.0 <= g_escape_new
         plunged = g_plunge >= 0.0 >= g_plunge_new
         if escaped or plunged:
-            at = _dense(t, h, x, y, kx, ky)
+            at = _dense(t, h, x, y, (fx, k1x, k2x, k3x, k4x, k5x, k6x),
+                        (fy, k1y, k2y, k3y, k4y, k5y, k6y))
             t_new, event = min(
                 (brentq(lambda s, gap=gap: gap(*at(s)), t, t_new,
                         xtol=4.0 * _EPS, rtol=4.0 * _EPS), name)
@@ -341,7 +353,7 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
             status = 1
         elif t_new >= t_bound:
             status = 0
-        t, x, y, fx, fy = t_new, x_new, y_new, kx[6], ky[6]
+        t, x, y, fx, fy = t_new, x_new, y_new, k6x, k6y
         g_escape, g_plunge = g_escape_new, g_plunge_new
         ts.append(t)
         xs.append(x)

@@ -56,17 +56,17 @@ class CriticalPoint:
     launch_direction: tuple[float, float] | None = None
 
 
-def planar_rhs(params: ModelParams, K: float):
-    """The planar system as an ODE right-hand side ``rhs(eta, (X, Y))``.
+def planar_field(params: ModelParams, K: float):
+    """The planar system's vector field ``field(X, Y) -> (dX, dY)``.
 
     A solver may overshoot the invariant axis X = 0 by rounding; the
-    fractional term then sees X clamped to 0.
+    fractional term then sees X clamped to 0.  At X = NaN the clamp gives
+    0, but dY is NaN through the 2X term all the same.
     """
     m, N, q = params.m, params.N, params.power_ratio
 
-    def rhs(eta, y):
-        X, Y = y
-        Xc = max(X, 0.0)
+    def field(X, Y):
+        Xc = X if X > 0.0 else 0.0
         return (
             X * (2.0 - (m - 1.0) * Y),
             -m * Y * Y
@@ -76,6 +76,17 @@ def planar_rhs(params: ModelParams, K: float):
             - K * Xc**q,
         )
 
+    return field
+
+
+def planar_rhs(params: ModelParams, K: float):
+    """``planar_field`` as an ODE right-hand side ``rhs(eta, (X, Y))``."""
+    field = planar_field(params, K)
+
+    def rhs(eta, y):
+        X, Y = y
+        return field(X, Y)
+
     return rhs
 
 
@@ -83,7 +94,7 @@ def vector_field(P: PhasePoint, params: ModelParams, K: float) -> tuple[float, f
     """Right-hand side (dX, dY) of the planar system at P."""
     if P.X < 0.0:
         raise DomainError(f"X must be nonnegative, got {P.X}")
-    return planar_rhs(params, K)(0.0, (P.X, P.Y))
+    return planar_field(params, K)(P.X, P.Y)
 
 
 def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:

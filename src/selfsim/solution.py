@@ -52,6 +52,10 @@ def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     params = sol.profile.params
     m, N, sigma, p = params.m, params.N, params.sigma, params.p
     # the five stencil points (r, t), (r, t -/+ h), (r -/+ h, t) in one call
@@ -78,6 +82,9 @@ def mass_growth_rate(sol: EternalSolution, t_samples: list[float]) -> float:
     M(t) is computed by adaptive quadrature over the (compact) support at
     each sample time and the rate is the least-squares slope of ln M(t).
     """
+    if len(t_samples) < 2:
+        raise DomainError(
+            f"need at least two sample times, got {len(t_samples)}")
     params = sol.profile.params
     N = params.N
     if sol.profile.xi0 is None:

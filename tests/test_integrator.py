@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from selfsim import integrator
 from selfsim.integrator import (
@@ -181,9 +181,15 @@ def _reference_xy(start, params, K):
     # loose tolerances: about one attempt in three is rejected
     (SUPER, 1.0, (1e-3, 1e-5), None, PhasePoint(0.5, 1.0), "escape"),
     (CRIT, 1.0, (1e-6, 1e-8), None, PhasePoint(0.5, 1.0), "plunge"),
+    # N = 2, where P0 is a saddle-node
+    (ModelParams(2.0, 0.5, 2), 0.3, None, None, None, "escape"),
+    # the below-axis start of the portrait command
+    (SUPER, 1.0, None, None, PhasePoint(2.0, -2.0), "escape"),
+    # a long run: 1450 steps
+    (ModelParams(7.0, 0.5, 3), 0.5, None, None, None, "escape"),
 ], ids=["ToQ1", "ToQ3-plunge", "ToQ3-past-X_big", "subcritical", "N1",
         "tightened", "eta-exhausted", "rejections-escape",
-        "rejections-plunge"])
+        "rejections-plunge", "N2", "below-axis-start", "long-run"])
 def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
                                           event, monkeypatch):
     if tols is not None:
@@ -206,6 +212,14 @@ def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
     np.testing.assert_allclose(orbit.eta[n], ref.t[-1], rtol=1e-10)
     np.testing.assert_allclose([orbit.X[n], orbit.Y[n]], ref.y[:, -1],
                                rtol=1e-10)
+
+
+def test_rk45_tableau_premises():
+    # the written-out X-Y step leaves out the zero weights B[1] and E[1];
+    # its sixth stage sits at the end of the step, as in Dormand-Prince 5(4)
+    assert RK45.B[1] == 0.0
+    assert RK45.E[1] == 0.0
+    assert RK45.C[5] == 1.0
 
 
 def test_start_below_plunge_line_is_q3():

@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selfsim.params import ModelParams, alpha_beta_from_k, alpha_star_critical
+from selfsim.params import (
+    DomainError,
+    ModelParams,
+    alpha_beta_from_k,
+    alpha_star_critical,
+)
 from selfsim.profile import reconstruct
 from selfsim.solution import (
     convection_coefficient,
@@ -79,6 +84,15 @@ def test_pde_residual_near_origin(sol_fig3a):
     assert abs(res) < 1e-4 * sol_fig3a.alpha
 
 
+@pytest.mark.parametrize("r, t", [
+    (0.0, 0.0), (-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+    (0.1, math.nan), (0.1, math.inf), (0.1, -math.inf),
+])
+def test_pde_residual_rejects_r_and_t_off_the_domain(sol_fig3a, r, t):
+    with pytest.raises(DomainError):
+        pde_residual(sol_fig3a, r, t, 1e-3)
+
+
 def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
@@ -91,6 +105,12 @@ def test_mass_growth_rate(sol_fig3a):
     target = sol.alpha + SUPER.N * sol.beta
     assert rate == pytest.approx(target, rel=1e-3)
     assert rate > 0.0
+
+
+@pytest.mark.parametrize("t_samples", [[], [0.0]])
+def test_mass_growth_rate_needs_two_times(sol_fig3a, t_samples):
+    with pytest.raises(DomainError, match=f"got {len(t_samples)}"):
+        mass_growth_rate(sol_fig3a, t_samples)
 
 
 def test_mass_growth_rate_critical_case():
