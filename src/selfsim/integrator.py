@@ -226,7 +226,9 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     """Step the planar system from ``start`` until an event or ``ETA_MAX``.
 
     This is scipy's RK45 on two floats: the same initial step, stages,
-    error norm, step-size controller and quartic dense output.  The events
+    error norm, step-size controller and quartic dense output.  An attempt
+    whose stages overflow a Python float (K X^q near m = 1) is rejected, as
+    RK45 rejects the inf of its float64 powers.  The events
     are tested after each accepted step: X rising through ``X_BIG`` is an
     escape, Y + 3(m-1)X + 10 falling through 0, far below the Q4 ray, is a
     plunge.  An event's root is found on the dense output with ``brentq``
@@ -297,33 +299,38 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            k1x, k1y = field(x + fx * a10 * h, y + fy * a10 * h)
-            k2x, k2y = field(x + (fx * a20 + k1x * a21) * h,
-                             y + (fy * a20 + k1y * a21) * h)
-            k3x, k3y = field(x + (fx * a30 + k1x * a31 + k2x * a32) * h,
-                             y + (fy * a30 + k1y * a31 + k2y * a32) * h)
-            k4x, k4y = field(
-                x + (fx * a40 + k1x * a41 + k2x * a42 + k3x * a43) * h,
-                y + (fy * a40 + k1y * a41 + k2y * a42 + k3y * a43) * h)
-            k5x, k5y = field(
-                x + (fx * a50 + k1x * a51 + k2x * a52 + k3x * a53
-                     + k4x * a54) * h,
-                y + (fy * a50 + k1y * a51 + k2y * a52 + k3y * a53
-                     + k4y * a54) * h)
-            x_new = x + h * (fx * b0 + k2x * b2 + k3x * b3 + k4x * b4
-                             + k5x * b5)
-            y_new = y + h * (fy * b0 + k2y * b2 + k3y * b3 + k4y * b4
-                             + k5y * b5)
-            k6x, k6y = field(x_new, y_new)
+            try:
+                k1x, k1y = field(x + fx * a10 * h, y + fy * a10 * h)
+                k2x, k2y = field(x + (fx * a20 + k1x * a21) * h,
+                                 y + (fy * a20 + k1y * a21) * h)
+                k3x, k3y = field(x + (fx * a30 + k1x * a31 + k2x * a32) * h,
+                                 y + (fy * a30 + k1y * a31 + k2y * a32) * h)
+                k4x, k4y = field(
+                    x + (fx * a40 + k1x * a41 + k2x * a42 + k3x * a43) * h,
+                    y + (fy * a40 + k1y * a41 + k2y * a42 + k3y * a43) * h)
+                k5x, k5y = field(
+                    x + (fx * a50 + k1x * a51 + k2x * a52 + k3x * a53
+                         + k4x * a54) * h,
+                    y + (fy * a50 + k1y * a51 + k2y * a52 + k3y * a53
+                         + k4y * a54) * h)
+                x_new = x + h * (fx * b0 + k2x * b2 + k3x * b3 + k4x * b4
+                                 + k5x * b5)
+                y_new = y + h * (fy * b0 + k2y * b2 + k3y * b3 + k4y * b4
+                                 + k5y * b5)
+                k6x, k6y = field(x_new, y_new)
+            except OverflowError:
+                # K X^q past the float range, where RK45's float64 gives inf
+                err = math.inf
+            else:
+                ex = (fx * e0 + k2x * e2 + k3x * e3 + k4x * e4 + k5x * e5
+                      + k6x * e6)
+                ey = (fy * e0 + k2y * e2 + k3y * e3 + k4y * e4 + k5y * e5
+                      + k6y * e6)
+                err = _rms(
+                    ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
+                    ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
+                )
             nfev += 6
-            ex = (fx * e0 + k2x * e2 + k3x * e3 + k4x * e4 + k5x * e5
-                  + k6x * e6)
-            ey = (fy * e0 + k2y * e2 + k3y * e3 + k4y * e4 + k5y * e5
-                  + k6y * e6)
-            err = _rms(
-                ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
-                ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
-            )
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT))
@@ -395,10 +402,12 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
         return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
 
     if event is None:
+        reason = ("X-Y step size fell below its minimum" if xy_stats.status == -1
+                  else "eta budget exhausted")
         end = OrbitEnd(
             tag=OrbitTag.UNRESOLVED,
             final_slope=slope,
-            diagnostics=f"eta budget exhausted at X={X[-1]:.3g}",
+            diagnostics=f"{reason} at X={X[-1]:.3g}",
         )
         return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
 

@@ -92,8 +92,6 @@ def planar_rhs(params: ModelParams, K: float):
 
 def vector_field(P: PhasePoint, params: ModelParams, K: float) -> tuple[float, float]:
     """Right-hand side (dX, dY) of the planar system at P."""
-    if P.X < 0.0:
-        raise DomainError(f"X must be nonnegative, got {P.X}")
     return planar_field(params, K)(P.X, P.Y)
 
 
@@ -280,8 +278,6 @@ def numerical_jacobian(
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    if P.X < 0.0:
-        raise DomainError(f"X must be nonnegative, got {P.X}")
     J = np.empty((2, 2))
     if P.X - h >= 0.0:
         fp = vector_field(PhasePoint(P.X + h, P.Y), params, K)

@@ -23,7 +23,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import LSODA, solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from selfsim.integrator import (ABS_TOL, LN_X_CAP, REL_TOL, X_BIG,
@@ -81,29 +80,12 @@ class Profile:
     beta: float
     xi: np.ndarray
     f: np.ndarray
-    xi0: float | None = None
+    xi0: float
+    #: f on a 1-d array of xi >= 0, as built by reconstruct or rescale
+    _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False,
+                                                      compare=False)
     #: one record per LSODA run of ``reconstruct``: the bulk, then the tail
     stats: tuple[PhaseStats, ...] = field(default=(), compare=False)
-    #: f on a 1-d array of xi >= 0, as built by reconstruct or rescale; a
-    #: profile built from samples alone gets ``_sampled`` of its samples
-    _eval: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self._eval is None:
-            object.__setattr__(self, "_eval", _sampled(self.xi, self.f))
-
-
-def _sampled(xi: np.ndarray, f: np.ndarray):
-    """PCHIP interpolant of ln f over the samples, 0 past the last one.
-
-    Below the first sample it holds f(xi[0]): the profile is even with
-    f'(0) = 0, so it is flat at the origin.
-    """
-    interp = PchipInterpolator(xi, np.log(f), extrapolate=False)
-    return lambda x: np.select([x < xi[0], x <= xi[-1]],
-                               [f[0], np.exp(interp(x))], 0.0)
 
 
 def _series_coeff(params: ModelParams, alpha: float) -> float:
@@ -404,8 +386,7 @@ def fit_interface(profile: Profile) -> InterfaceFit:
     log_f = np.log(fs)
     xi_last = float(xs[-1])
 
-    gap0 = (profile.xi0 - xi_last) if profile.xi0 else xi_last * 1e-6
-    gap0 = max(gap0, 1e-300)
+    gap0 = max(profile.xi0 - xi_last, 1e-300)
 
     def sse(log_gap: float) -> float:
         xi0 = xi_last + math.exp(log_gap)
@@ -445,12 +426,21 @@ def fit_interface(profile: Profile) -> InterfaceFit:
 
 
 def rescale(profile: Profile, lam: float) -> Profile:
-    """Exact symmetry g(xi) = lam^(-2/(m-1)) * f(lam*xi) of the profile ODE."""
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    gamma = 2.0 / (profile.params.m - 1.0)
-    fac = lam**-gamma
-    xi0 = profile.xi0 / lam if profile.xi0 is not None else None
+    """Exact symmetry g(xi) = lam^(-2/(m-1)) * f(lam*xi) of the profile ODE.
+
+    lam, the factor lam^(-2/(m-1)) and the interface xi0/lam must all be
+    positive and finite.
+    """
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
+    try:
+        fac = lam ** (-2.0 / (profile.params.m - 1.0))
+    except OverflowError:
+        fac = math.inf
+    xi0 = profile.xi0 / lam
+    if not (0.0 < fac < math.inf and 0.0 < xi0 < math.inf):
+        raise DomainError(f"lambda = {lam} scales f by {fac} and xi0 to "
+                          f"{xi0}, off the float range")
     base = profile._eval
     return Profile(
         params=profile.params,

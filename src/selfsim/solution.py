@@ -81,18 +81,24 @@ def mass_growth_rate(sol: EternalSolution, t_samples: list[float]) -> float:
 
     M(t) is computed by adaptive quadrature over the (compact) support at
     each sample time and the rate is the least-squares slope of ln M(t).
+    It needs two distinct times, and a support edge xi0 * exp(beta*t) in
+    the float range at each.
     """
-    if len(t_samples) < 2:
+    distinct = len(set(t_samples))
+    if distinct < 2:
         raise DomainError(
-            f"need at least two sample times, got {len(t_samples)}")
-    params = sol.profile.params
-    N = params.N
-    if sol.profile.xi0 is None:
-        raise DomainError("profile has no interface; mass is not defined")
+            f"need at least two distinct sample times, got {distinct}")
+    N = sol.profile.params.N
     omega = sphere_area(N)
     log_m = []
     for t in t_samples:
-        edge = sol.profile.xi0 * math.exp(sol.beta * t)
+        try:
+            edge = sol.profile.xi0 * math.exp(sol.beta * t)
+        except OverflowError:
+            edge = math.inf
+        if not 0.0 < edge < math.inf:
+            raise DomainError(f"support edge at t={t} is {edge}, off the "
+                              "float range")
 
         def integrand(r, t=t):
             return evaluate_u(sol, r, t) * r ** (N - 1.0)
@@ -116,8 +122,7 @@ class TravelingWave:
     c: float
     z_grid: np.ndarray
     F: np.ndarray
-    params: ModelParams
-    profile: Profile = field(repr=False, compare=False, default=None)
+    profile: Profile = field(repr=False, compare=False)
 
     @property
     def support_edge(self) -> float:
@@ -141,14 +146,11 @@ TW_POINTS = 2001
 def to_traveling_wave(sol: EternalSolution) -> TravelingWave:
     """Map the eternal solution to its traveling wave, speed c = beta."""
     profile = sol.profile
-    if profile.xi0 is None:
-        raise DomainError("profile has no interface")
     z_lo = math.log(profile.xi[0])
     z_hi = math.log(profile.xi0)
     z = np.linspace(z_lo, z_hi + 0.1 * (z_hi - z_lo), TW_POINTS)
     F = tw_value_on(profile, z)
-    return TravelingWave(c=sol.beta, z_grid=z, F=F, params=profile.params,
-                         profile=profile)
+    return TravelingWave(c=sol.beta, z_grid=z, F=F, profile=profile)
 
 
 def tw_value_on(profile: Profile, z) -> np.ndarray:
@@ -161,7 +163,7 @@ def tw_value_on(profile: Profile, z) -> np.ndarray:
 def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
     """The five terms of the traveling-wave operator at z, by central
     differences with step h."""
-    params = tw.params
+    params = tw.profile.params
     F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
     w = [v ** params.m for v in F]
     Fp, _ = _central(*F, h)

@@ -315,6 +315,19 @@ def test_nonfinite_parameter_exit_code(tmp_path, capsys, command, flags, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, m, files", [("classify", "1.0002", 1),
+                                               ("portrait", "1.0001", 6)])
+def test_near_m_one_exits_0(tmp_path, capsys, command, m, files):
+    # q = (m-p)/(m-1) passes 2500 here, and K X^q in a stage of the X-Y
+    # phase once escaped main as an OverflowError
+    code, _, err = run(capsys, command, "--m", m, "--p", "0.5", "--N", "3",
+                       "--K", "1", "--out", str(tmp_path / "x"))
+    assert code == 0 and err == ""
+    assert len(list(tmp_path.iterdir())) == files
+    if command == "classify":
+        assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
+
+
 @pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-12"),
                                          ("--abs-tol", "1e-14")])
 def test_tolerance_flags_are_gone(capsys, flag, value):

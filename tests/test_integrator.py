@@ -187,9 +187,16 @@ def _reference_xy(start, params, K):
     (SUPER, 1.0, None, None, PhasePoint(2.0, -2.0), "escape"),
     # a long run: 1450 steps
     (ModelParams(7.0, 0.5, 3), 0.5, None, None, None, "escape"),
+] + [
+    # near m = 1, q = (m-p)/(m-1) passes 2500 and K X^q overflows in
+    # rejected attempts
+    (ModelParams(m, 0.5, 3), K, None, None, None, "plunge")
+    for m in (1.0002, 1.0001, 1.00001) for K in (1e-3, 1.0, 1e3)
 ], ids=["ToQ1", "ToQ3-plunge", "ToQ3-past-X_big", "subcritical", "N1",
         "tightened", "eta-exhausted", "rejections-escape",
-        "rejections-plunge", "N2", "below-axis-start", "long-run"])
+        "rejections-plunge", "N2", "below-axis-start", "long-run"] + [
+    f"overflow-m{m}-K{K:g}"
+    for m in (1.0002, 1.0001, 1.00001) for K in (1e-3, 1.0, 1e3)])
 def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
                                           event, monkeypatch):
     if tols is not None:
@@ -198,7 +205,10 @@ def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
     if eta_max is not None:
         monkeypatch.setattr(integrator, "ETA_MAX", eta_max)
     start = start or launch_from_p0(params, K)
-    ref = _reference_xy(start, params, K)
+    # numpy's float64 power gives inf where a Python float's raises, and
+    # the stages then meet inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _reference_xy(start, params, K)
     orbit = integrate(start, params, K)
     xy = orbit.stats[0]
     assert xy.method == "RK45"
@@ -247,12 +257,21 @@ def test_start_past_x_big_escapes_at_once(monkeypatch):
     (1.005, PhasePoint(50.0, 0.0), OrbitTag.TO_Q3, 157),
     # X^q overflows a Python float at the start: no step is taken
     (1.003, PhasePoint(90.0, 0.0), OrbitTag.UNRESOLVED, 1),
+    # the portrait command's (2, 1) and (2, -2(m-1)) starts at m = 1.0001
+    (1.0001, PhasePoint(2.0, 1.0), OrbitTag.UNRESOLVED, 1),
+    (1.0001, PhasePoint(2.0, -2e-4), OrbitTag.UNRESOLVED, 1),
 ])
 def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
-    # solve_ivp ended these orbits the same way, with overflow warnings
+    # solve_ivp ended these orbits the same way, with overflow warnings; an
+    # orbit that takes no step names its step-size failure
     orbit = integrate(start, ModelParams(m, 0.5, 3), 1e-3)
     assert orbit.termination.tag is tag
     assert len(orbit.eta) == samples
+    assert orbit.termination.diagnostics == {
+        OrbitTag.TO_Q3: "plunged below the Q4 ray",
+        OrbitTag.UNRESOLVED:
+            f"X-Y step size fell below its minimum at X={start.X:g}",
+    }[tag]
 
 
 def test_orbit_stats_count_both_phases():

@@ -1,5 +1,10 @@
 import math
+import os
 import signal
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from selfsim.profile import (
     DENSE_SLICE,
     FIT_WINDOW,
     InterfaceType,
-    Profile,
     ReconstructionError,
     evaluate_f,
     fit_interface,
@@ -296,34 +300,21 @@ def test_rescale_composes(prof_mid):
                        rtol=1e-12, atol=0.0)
 
 
-def test_sampled_profiles_evaluate_their_own_samples():
-    # a freed profile's id is often reused by the next one built, which
-    # must not see an interpolant of the earlier samples
-    xi = np.linspace(0.1, 1.0, 50)
-
-    def build(level):
-        return Profile(params=SUPER, alpha=1.0, beta=0.5, xi=xi,
-                       f=np.full_like(xi, level))
-
-    for k in range(20):
-        old = build(1.0 + k)
-        assert evaluate_f(old, 0.5) == pytest.approx(1.0 + k)
-        del old
-        assert evaluate_f(build(100.0 + k), 0.5) == pytest.approx(100.0 + k)
-
-
-def test_sampled_profile_holds_its_first_value_down_to_the_origin():
-    xi = np.linspace(0.1, 1.0, 10)
-    # exp(ln f[0]) can miss f[0] in the last bit; the hold is f[0] itself
-    prof = Profile(params=SUPER, alpha=1.0, beta=0.5, xi=xi,
-                   f=np.linspace(2.735, 1.0, 10))
-    assert evaluate_f(prof, 0.0) == prof.f[0]
-    assert np.all(evaluate_f(prof, np.array([0.0, 0.05])) == prof.f[0])
-
-
 def test_rescale_requires_positive_lambda(prof_mid):
-    with pytest.raises(DomainError):
-        rescale(prof_mid, 0.0)
+    # inf once gave xi0 = 0, 1e300 an f that underflowed to 0 everywhere and
+    # 1e-300 a raw OverflowError from lam^(-2/(m-1))
+    for lam in (0.0, -1.0, math.nan, math.inf, 1e300, 1e-300):
+        with pytest.raises(DomainError, match="lambda"):
+            rescale(prof_mid, lam)
+
+
+def test_import_loads_no_interpolation():
+    # every profile evaluates through the evaluator reconstruct builds, so
+    # the package needs no scipy.interpolate
+    src = str(Path(profile_module.__file__).parents[1])
+    code = "import selfsim, sys; assert 'scipy.interpolate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_reconstruct_rejects_subcritical():
@@ -332,14 +323,7 @@ def test_reconstruct_rejects_subcritical():
 
 
 def test_fit_needs_tail_samples(prof_fig3a):
-    sparse = Profile(
-        params=prof_fig3a.params,
-        alpha=prof_fig3a.alpha,
-        beta=prof_fig3a.beta,
-        xi=prof_fig3a.xi[:50],
-        f=prof_fig3a.f[:50],
-        xi0=prof_fig3a.xi0,
-    )
+    sparse = replace(prof_fig3a, xi=prof_fig3a.xi[:50], f=prof_fig3a.f[:50])
     with pytest.raises(DomainError):
         fit_interface(sparse)
 

@@ -107,10 +107,16 @@ def test_mass_growth_rate(sol_fig3a):
     assert rate > 0.0
 
 
-@pytest.mark.parametrize("t_samples", [[], [0.0]])
-def test_mass_growth_rate_needs_two_times(sol_fig3a, t_samples):
-    with pytest.raises(DomainError, match=f"got {len(t_samples)}"):
+@pytest.mark.parametrize("t_samples", [[], [0.0], [0.0, 0.0], [0.0, 1e4]])
+def test_mass_growth_rate_needs_two_times(sol_fig3a, t_samples, capfd):
+    # two equal times once reached np.polyfit, whose LAPACK call printed to
+    # stdout before it raised LinAlgError; an edge xi0 e^(beta t) past the
+    # float range once raised OverflowError from math.exp
+    distinct = len(set(t_samples))
+    match = f"got {distinct}" if distinct < 2 else "support edge at t=10000"
+    with pytest.raises(DomainError, match=match):
         mass_growth_rate(sol_fig3a, t_samples)
+    assert capfd.readouterr().out == ""
 
 
 def test_mass_growth_rate_critical_case():
