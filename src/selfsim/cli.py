@@ -80,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=float, required=True)
         sp.add_argument("--p", type=float, required=True)
         sp.add_argument("--N", type=int, required=True)
-        sp.add_argument("--sigma", type=float, default=None,
-                        help="optional; checked against the derived value")
         if with_k:
             group = sp.add_mutually_exclusive_group(required=True)
             group.add_argument("--K", type=float, default=None)
@@ -102,17 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common("portrait", "orbit data files for a phase-plane portrait")
     add_common("tw", "traveling-wave profile of the transformed equation")
     return parser
-
-
-def _model_from_args(args) -> ModelParams:
-    params = ModelParams(m=args.m, p=args.p, N=args.N)
-    if args.sigma is not None:
-        if abs(args.sigma - params.sigma) > 1e-12 * max(1.0, abs(params.sigma)):
-            raise DomainError(
-                f"--sigma {args.sigma} contradicts the derived value "
-                f"{params.sigma}; sigma is fixed by m and p"
-            )
-    return params
 
 
 def _shooting_from_args(params: ModelParams, args) -> ShootingParam:
@@ -262,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_FLAGS if exc.code not in (0, None) else 0
     try:
-        params = _model_from_args(args)
+        params = ModelParams(m=args.m, p=args.p, N=args.N)
         fields, csvs, failure = _COMMANDS[args.command](params, args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

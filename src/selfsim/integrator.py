@@ -136,7 +136,7 @@ def _rhs_slope(params: ModelParams, K: float):
 
     def rhs(s, y):
         u = y[0]
-        inv_x = math.exp(-s) if s < 700.0 else 0.0
+        inv_x = math.exp(-s)
         frac = K * math.exp((q - 2.0) * s)
         num = -(u * u + (m - 1.0) * u) - frac - (N * u - 2.0) * inv_x
         den = 2.0 * inv_x - (m - 1.0) * u
@@ -222,20 +222,21 @@ def _dense(t_old: float, h: float, x_old: float, y_old: float, kx, ky):
     return at
 
 
-def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
-    """Step the planar system from ``start`` until an event or ``ETA_MAX``.
+def _xy_phase(params: ModelParams, K: float, x: float, y: float):
+    """Step the planar system from (x, y) until an event or ``ETA_MAX``.
 
-    This is scipy's RK45 on two floats: the same initial step, stages,
-    error norm, step-size controller and quartic dense output.  An attempt
-    whose stages overflow a Python float (K X^q near m = 1) is rejected, as
-    RK45 rejects the inf of its float64 powers.  The events
-    are tested after each accepted step: X rising through ``X_BIG`` is an
-    escape, Y + 3(m-1)X + 10 falling through 0, far below the Q4 ray, is a
-    plunge.  An event's root is found on the dense output with ``brentq``
-    and becomes the last sample; if both occur in one step the earlier
-    root wins.  A start already below the plunge line is a plunge before
-    the first step; failing that, a start at or past ``X_BIG`` with X still
-    rising (Y < 2/(m-1)) is an escape before the first step.
+    This is scipy's RK45 on Python floats (K, x and y must be floats): the
+    same initial step, stages, error norm, step-size controller and quartic
+    dense output.  An attempt through a state where K X^q passes the float
+    range meets the field's -inf there and fails the error test, as in
+    RK45.  The events are tested after each accepted step: X rising through
+    ``X_BIG`` is an escape, Y + 3(m-1)X + 10 falling through 0, far below
+    the Q4 ray, is a plunge.  An event's root is found on the dense output
+    with ``brentq`` and becomes the last sample; if both occur in one step
+    the earlier root wins.  A start already below the plunge line is a
+    plunge before the first step; failing that, a start at or past
+    ``X_BIG`` with X still rising (Y < 2/(m-1)) is an escape before the
+    first step.
 
     Returns the samples (eta, X, Y) as lists, the event that ended the
     phase ("escape", "plunge" or None) and the phase's ``PhaseStats``.
@@ -250,7 +251,7 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     def plunge_gap(X: float, Y: float) -> float:
         return Y + m3 * X + 10.0
 
-    t, x, y = 0.0, start.X, start.Y
+    t = 0.0
     ts, xs, ys = [t], [x], [y]
     g_escape, g_plunge = escape_gap(x, y), plunge_gap(x, y)
     if g_plunge < 0.0:
@@ -258,22 +259,13 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
     if g_escape >= 0.0 and y < 2.0 / (params.m - 1.0):
         return ts, xs, ys, "escape", PhaseStats("RK45", 0, 0, 0, 1)
 
-    def field_or_nan(X: float, Y: float) -> tuple[float, float]:
-        # at a start with X^q past the float range, numpy's float64 power
-        # overflows to inf where a Python float's raises; either way no
-        # step is taken
-        try:
-            return field(X, Y)
-        except OverflowError:
-            return math.nan, math.nan
-
     # initial step (Hairer, Norsett & Wanner II.4), as select_initial_step
-    fx, fy = field_or_nan(x, y)
+    fx, fy = field(x, y)
     sx, sy = atol + abs(x) * rtol, atol + abs(y) * rtol
     d0, d1 = _rms(x / sx, y / sy), _rms(fx / sx, fy / sy)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    f1x, f1y = field_or_nan(x + h0 * fx, y + h0 * fy)
+    f1x, f1y = field(x + h0 * fx, y + h0 * fy)
     # h0 is 0 only where d1 is infinite; the first step is then 0 too
     d2 = _rms((f1x - fx) / sx, (f1y - fy) / sy) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -299,37 +291,32 @@ def _xy_phase(params: ModelParams, K: float, start: PhasePoint):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            try:
-                k1x, k1y = field(x + fx * a10 * h, y + fy * a10 * h)
-                k2x, k2y = field(x + (fx * a20 + k1x * a21) * h,
-                                 y + (fy * a20 + k1y * a21) * h)
-                k3x, k3y = field(x + (fx * a30 + k1x * a31 + k2x * a32) * h,
-                                 y + (fy * a30 + k1y * a31 + k2y * a32) * h)
-                k4x, k4y = field(
-                    x + (fx * a40 + k1x * a41 + k2x * a42 + k3x * a43) * h,
-                    y + (fy * a40 + k1y * a41 + k2y * a42 + k3y * a43) * h)
-                k5x, k5y = field(
-                    x + (fx * a50 + k1x * a51 + k2x * a52 + k3x * a53
-                         + k4x * a54) * h,
-                    y + (fy * a50 + k1y * a51 + k2y * a52 + k3y * a53
-                         + k4y * a54) * h)
-                x_new = x + h * (fx * b0 + k2x * b2 + k3x * b3 + k4x * b4
-                                 + k5x * b5)
-                y_new = y + h * (fy * b0 + k2y * b2 + k3y * b3 + k4y * b4
-                                 + k5y * b5)
-                k6x, k6y = field(x_new, y_new)
-            except OverflowError:
-                # K X^q past the float range, where RK45's float64 gives inf
-                err = math.inf
-            else:
-                ex = (fx * e0 + k2x * e2 + k3x * e3 + k4x * e4 + k5x * e5
-                      + k6x * e6)
-                ey = (fy * e0 + k2y * e2 + k3y * e3 + k4y * e4 + k5y * e5
-                      + k6y * e6)
-                err = _rms(
-                    ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
-                    ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
-                )
+            k1x, k1y = field(x + fx * a10 * h, y + fy * a10 * h)
+            k2x, k2y = field(x + (fx * a20 + k1x * a21) * h,
+                             y + (fy * a20 + k1y * a21) * h)
+            k3x, k3y = field(x + (fx * a30 + k1x * a31 + k2x * a32) * h,
+                             y + (fy * a30 + k1y * a31 + k2y * a32) * h)
+            k4x, k4y = field(
+                x + (fx * a40 + k1x * a41 + k2x * a42 + k3x * a43) * h,
+                y + (fy * a40 + k1y * a41 + k2y * a42 + k3y * a43) * h)
+            k5x, k5y = field(
+                x + (fx * a50 + k1x * a51 + k2x * a52 + k3x * a53
+                     + k4x * a54) * h,
+                y + (fy * a50 + k1y * a51 + k2y * a52 + k3y * a53
+                     + k4y * a54) * h)
+            x_new = x + h * (fx * b0 + k2x * b2 + k3x * b3 + k4x * b4
+                             + k5x * b5)
+            y_new = y + h * (fy * b0 + k2y * b2 + k3y * b3 + k4y * b4
+                             + k5y * b5)
+            k6x, k6y = field(x_new, y_new)
+            ex = (fx * e0 + k2x * e2 + k3x * e3 + k4x * e4 + k5x * e5
+                  + k6x * e6)
+            ey = (fy * e0 + k2y * e2 + k3y * e3 + k4y * e4 + k5y * e5
+                  + k6y * e6)
+            err = _rms(
+                ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
+                ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
+            )
             nfev += 6
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
@@ -380,8 +367,11 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
         raise DomainError("start must be finite")
     if not 0.0 < K < math.inf:
         raise DomainError(f"K must be positive and finite, got {K}")
+    # one arithmetic on every route: numpy scalars become Python floats
+    K = float(K)
 
-    eta, X, Y, event, xy_stats = _xy_phase(params, K, start)
+    eta, X, Y, event, xy_stats = _xy_phase(params, K, float(start.X),
+                                            float(start.Y))
     eta, X, Y = np.array(eta), np.array(X), np.array(Y)
     stats = (xy_stats,)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
@@ -422,6 +412,13 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
             end = OrbitEnd(tag=tag, final_slope=u0, diagnostics=diag.format(s0))
             return Orbit(eta=eta, X=X, Y=Y, termination=end,
                          stats=stats + (PhaseStats("LSODA", 0, 0, 0, 1),))
+    if s0 >= s_cap:
+        # the slope chart runs up to the cap only; LSODA would run backwards
+        end = OrbitEnd(tag=OrbitTag.UNRESOLVED, final_slope=u0,
+                       diagnostics=f"start at ln X = {s0:.1f} is past the "
+                                   f"ln X cap {s_cap:.1f}")
+        return Orbit(eta=eta, X=X, Y=Y, termination=end,
+                     stats=stats + (PhaseStats("LSODA", 0, 0, 0, 0),))
 
     # the slope relaxes onto a slow manifold whose attraction rate grows
     # exponentially in s: stiff, so use an implicit-capable method here

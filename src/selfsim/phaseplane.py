@@ -61,19 +61,26 @@ def planar_field(params: ModelParams, K: float):
 
     A solver may overshoot the invariant axis X = 0 by rounding; the
     fractional term then sees X clamped to 0.  At X = NaN the clamp gives
-    0, but dY is NaN through the 2X term all the same.
+    0, but dY is NaN through the 2X term all the same.  This is the one
+    place that handles K X^q past the float range (q = (m-p)/(m-1) passes
+    2500 as m -> 1): dY is then -inf, as numpy's float64 power gives it,
+    so a solver's step through such a state fails its error test.
     """
     m, N, q = params.m, params.N, params.power_ratio
 
     def field(X, Y):
         Xc = X if X > 0.0 else 0.0
+        try:
+            reaction = K * Xc**q
+        except OverflowError:
+            reaction = math.inf
         return (
             X * (2.0 - (m - 1.0) * Y),
             -m * Y * Y
             - (N - 2.0) * Y
             + 2.0 * X
             - (m - 1.0) * X * Y
-            - K * Xc**q,
+            - reaction,
         )
 
     return field

@@ -328,8 +328,33 @@ def test_near_m_one_exits_0(tmp_path, capsys, command, m, files):
         assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
 
 
+def test_sweep_near_m_one_is_quiet(tmp_path, capsys):
+    # np.geomspace's numpy scalars once ran the X-Y phase in numpy
+    # arithmetic, whose overflow warnings reached stderr here
+    code, _, err = run(capsys, "sweep", "--m", "1.0002", "--p", "0.5",
+                       "--N", "3", "--out", str(tmp_path / "x"))
+    assert code == 0 and err == ""
+    doc = json.loads((tmp_path / "x.json").read_text())
+    assert [p["tag"] for p in doc["probes"]] == ["ToQ3"] * 13
+
+
+@pytest.mark.parametrize("N", ["1", "3"])
+def test_classify_unresolved_near_critical_exit_code(capsys, N):
+    # no stop of the slope chart fires by the ln X cap just below m + p = 2
+    code, out, err = run(capsys, "classify", "--m", "1.5", "--p",
+                         repr(0.5 - 1e-9), "--N", N, "--K", "1e-3")
+    assert code == 3
+    assert err == "orbit endpoint unresolved\n"
+    assert json.loads(out)["diagnostics"] == (
+        "no stop fired by the ln X cap 600.0")
+
+
 @pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-12"),
-                                         ("--abs-tol", "1e-14")])
+                                         ("--abs-tol", "1e-14"),
+                                         # sigma is derived from m and p;
+                                         # its flag let NaN through
+                                         ("--sigma", "1.0"),
+                                         ("--sigma", "nan")])
 def test_tolerance_flags_are_gone(capsys, flag, value):
     code, _, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
                        "--N", "4", "--K", "1", flag, value)

@@ -264,7 +264,15 @@ def test_start_past_x_big_escapes_at_once(monkeypatch):
 def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
     # solve_ivp ended these orbits the same way, with overflow warnings; an
     # orbit that takes no step names its step-size failure
-    orbit = integrate(start, ModelParams(m, 0.5, 3), 1e-3)
+    params = ModelParams(m, 0.5, 3)
+    orbit = integrate(start, params, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _reference_xy(start, params, 1e-3)
+    xy = orbit.stats[0]
+    # a start where K X^q overflows makes RK45's one attempt at the minimum
+    # step: 2 evaluations for the first step and 6 for the attempt
+    assert (xy.nfev, xy.steps, xy.status) == (ref.nfev, len(ref.t) - 1,
+                                              ref.status)
     assert orbit.termination.tag is tag
     assert len(orbit.eta) == samples
     assert orbit.termination.diagnostics == {
@@ -272,6 +280,50 @@ def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
         OrbitTag.UNRESOLVED:
             f"X-Y step size fell below its minimum at X={start.X:g}",
     }[tag]
+
+
+def test_numpy_scalar_k_steps_as_a_float():
+    # near m = 1 numpy's scalar power overflows with a RuntimeWarning where
+    # a Python float's raises; integrate steps every K as a Python float
+    params = ModelParams(1.0002, 0.5, 3)
+    orbit = integrate_from_p0(params, np.float64(1.0))
+    ref = integrate_from_p0(params, 1.0)
+    for name in ("eta", "X", "Y"):
+        assert getattr(orbit, name).tobytes() == getattr(ref, name).tobytes()
+    assert orbit.termination == ref.termination
+    assert orbit.stats == ref.stats
+
+
+@pytest.mark.parametrize("start, tag, diagnostics, status", [
+    (PhasePoint(1e300, -1e300), OrbitTag.UNRESOLVED,
+     "start at ln X = 690.8 is past the ln X cap 600.0", 0),
+    (PhasePoint(1e270, -1e270), OrbitTag.UNRESOLVED,
+     "start at ln X = 621.7 is past the ln X cap 600.0", 0),
+    # the stops are tested at escape before the cap
+    (PhasePoint(1e300, 0.0), OrbitTag.TO_Q1,
+     "trapped above the slope -(m-1)/2 at ln X = 690.8", 1),
+])
+def test_start_past_the_ln_x_cap_runs_no_lsoda_step(start, tag, diagnostics,
+                                                    status):
+    # LSODA was handed the span (ln X, 600) and stepped down in s
+    orbit = integrate(start, SUPER, 1.0)
+    assert orbit.termination.tag is tag
+    assert orbit.termination.diagnostics == diagnostics
+    assert len(orbit.eta) == 1
+    assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),
+                           PhaseStats("LSODA", 0, 0, 0, status))
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_no_stop_by_the_ln_x_cap_is_unresolved(N):
+    # just below m + p = 2 the bound to plunge cannot turn positive by the
+    # cap, though the paper puts the orbit at Q3
+    orbit = integrate_from_p0(ModelParams(1.5, 0.5 - 1e-9, N), 1e-3)
+    end = orbit.termination
+    assert end.tag is OrbitTag.UNRESOLVED
+    assert end.diagnostics == "no stop fired by the ln X cap 600.0"
+    slope = orbit.stats[1]
+    assert (slope.method, slope.status) == ("LSODA", 0)
 
 
 def test_orbit_stats_count_both_phases():
