@@ -20,6 +20,11 @@ classification happens at escape:
 * there every tag comes from a proven stop (``_stops``): a region of the
   chart that, once entered, the orbit never leaves and that leads to one
   endpoint; an orbit that meets none by the ln X cap is ``Unresolved``.
+
+``integrate`` maps the way the X-Y phase ended (a nonfinite state, a
+plunge, the eta budget or the step-size floor) to an ``OrbitEnd``, or hands
+an escape to ``_slope_phase``, which returns the slope chart's samples and
+``OrbitEnd``; it builds the ``Orbit`` once, from whichever ended it.
 """
 
 from __future__ import annotations
@@ -355,6 +360,60 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     return ts, xs, ys, event, PhaseStats("RK45", nfev, 0, len(ts) - 1, status)
 
 
+def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
+                 eta0: float):
+    """Carry an escaped orbit in the slope chart (u, s) = (Y/X, ln X).
+
+    The stops are tested at the start (s0, u0) first, and a start at or past
+    the ln X cap ends ``Unresolved``; neither runs a step.  Otherwise LSODA
+    runs from there with the stops as terminal events until one fires, s
+    reaches the cap or the step size stalls.  Returns the samples (eta, X,
+    Y) after the start as arrays, the orbit's ``OrbitEnd`` and the phase's
+    ``PhaseStats``.
+    """
+    q = params.power_ratio
+    s_cap = LN_X_CAP if q <= 2.0 else min(LN_X_CAP, 690.0 / (q - 2.0))
+    stops = _stops(params, K)
+    held = next(((tag, diag.format(s0)) for gap, tag, diag in stops
+                 if gap(s0, (u0,)) > 0.0), None)
+    if held is not None or s0 >= s_cap:
+        # the slope chart runs up to the cap only; LSODA would run backwards
+        tag, diag = held or (OrbitTag.UNRESOLVED,
+                             f"start at ln X = {s0:.1f} is past the ln X cap "
+                             f"{s_cap:.1f}")
+        return ((np.empty(0),) * 3, OrbitEnd(tag, u0, diag),
+                PhaseStats("LSODA", 0, 0, 0, int(held is not None)))
+
+    # the slope relaxes onto a slow manifold whose attraction rate grows
+    # exponentially in s: stiff, so use an implicit-capable method here
+    sol = solve_ivp(
+        _rhs_slope(params, K),
+        (s0, s_cap),
+        [u0, eta0],
+        method="LSODA",
+        rtol=REL_TOL,
+        atol=ABS_TOL,
+        events=[gap for gap, _, _ in stops],
+    )
+    u, eta = sol.y
+    finite = np.isfinite(u)
+    s, u, eta = sol.t[finite], u[finite], eta[finite]
+    fired = [stop for stop, t in zip(stops, sol.t_events) if len(t)]
+    if fired:
+        _, tag, diag = fired[0]
+        diag = diag.format(s[-1])
+    else:
+        tag = OrbitTag.UNRESOLVED
+        diag = (f"slope chart stalled at ln X = {s[-1]:.1f}" if sol.status == -1
+                else f"no stop fired by the ln X cap {s[-1]:.1f}")
+    with np.errstate(over="ignore"):
+        X = np.exp(s[1:])
+        Y = u[1:] * X
+    return ((eta[1:], X, Y), OrbitEnd(tag, u[-1], diag),
+            PhaseStats("LSODA", int(sol.nfev), int(sol.njev), len(sol.t) - 1,
+                       int(sol.status)))
+
+
 def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
     """Integrate from ``start`` until the orbit's endpoint can be classified.
 
@@ -374,90 +433,26 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
                                             float(start.Y))
     eta, X, Y = np.array(eta), np.array(X), np.array(Y)
     stats = (xy_stats,)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        end = OrbitEnd(
-            tag=OrbitTag.UNRESOLVED,
-            final_slope=math.nan,
-            diagnostics="nonfinite state during integration",
-        )
-        keep = np.isfinite(X) & np.isfinite(Y)
-        return Orbit(eta=eta[keep], X=X[keep], Y=Y[keep], termination=end,
-                     stats=stats)
-
+    # the start is finite, so a finite sample is left
+    keep = np.isfinite(X) & np.isfinite(Y)
+    eta, X, Y = eta[keep], X[keep], Y[keep]
     slope = Y[-1] / X[-1] if X[-1] > 0.0 else -math.inf
-
-    if event == "plunge":
-        end = OrbitEnd(tag=OrbitTag.TO_Q3, final_slope=slope,
-                       diagnostics="plunged below the Q4 ray")
-        return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
-
-    if event is None:
+    if not np.all(keep):
+        end = OrbitEnd(OrbitTag.UNRESOLVED, math.nan,
+                       "nonfinite state during integration")
+    elif event == "plunge":
+        end = OrbitEnd(OrbitTag.TO_Q3, slope, "plunged below the Q4 ray")
+    elif event is None:
         reason = ("X-Y step size fell below its minimum" if xy_stats.status == -1
                   else "eta budget exhausted")
-        end = OrbitEnd(
-            tag=OrbitTag.UNRESOLVED,
-            final_slope=slope,
-            diagnostics=f"{reason} at X={X[-1]:.3g}",
-        )
-        return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
-
-    # escape phase in the slope chart (u, s) = (Y/X, ln X)
-    s0 = math.log(X[-1])
-    u0 = slope
-    q = params.power_ratio
-    s_cap = LN_X_CAP if q <= 2.0 else min(LN_X_CAP, 690.0 / (q - 2.0))
-    stops = _stops(params, K)
-    for gap, tag, diag in stops:
-        if gap(s0, (u0,)) > 0.0:
-            end = OrbitEnd(tag=tag, final_slope=u0, diagnostics=diag.format(s0))
-            return Orbit(eta=eta, X=X, Y=Y, termination=end,
-                         stats=stats + (PhaseStats("LSODA", 0, 0, 0, 1),))
-    if s0 >= s_cap:
-        # the slope chart runs up to the cap only; LSODA would run backwards
-        end = OrbitEnd(tag=OrbitTag.UNRESOLVED, final_slope=u0,
-                       diagnostics=f"start at ln X = {s0:.1f} is past the "
-                                   f"ln X cap {s_cap:.1f}")
-        return Orbit(eta=eta, X=X, Y=Y, termination=end,
-                     stats=stats + (PhaseStats("LSODA", 0, 0, 0, 0),))
-
-    # the slope relaxes onto a slow manifold whose attraction rate grows
-    # exponentially in s: stiff, so use an implicit-capable method here
-    sol2 = solve_ivp(
-        _rhs_slope(params, K),
-        (s0, s_cap),
-        [u0, eta[-1]],
-        method="LSODA",
-        rtol=REL_TOL,
-        atol=ABS_TOL,
-        events=[gap for gap, _, _ in stops],
-    )
-    u_arr, eta2 = sol2.y
-    s_arr = sol2.t
-    finite = np.isfinite(u_arr)
-    u_arr, eta2, s_arr = u_arr[finite], eta2[finite], s_arr[finite]
-    fired = [stop for stop, t in zip(stops, sol2.t_events) if len(t)]
-    s_end = s_arr[-1]
-    if fired:
-        _, tag, diag = fired[0]
-        diag = diag.format(s_end)
+        end = OrbitEnd(OrbitTag.UNRESOLVED, slope, f"{reason} at X={X[-1]:.3g}")
     else:
-        tag = OrbitTag.UNRESOLVED
-        diag = (f"slope chart stalled at ln X = {s_end:.1f}" if sol2.status == -1
-                else f"no stop fired by the ln X cap {s_end:.1f}")
-
-    if len(s_arr) > 1:
-        with np.errstate(over="ignore"):
-            X2 = np.exp(s_arr[1:])
-            Y2 = u_arr[1:] * X2
-        eta = np.concatenate([eta, eta2[1:]])
-        X = np.concatenate([X, X2])
-        Y = np.concatenate([Y, Y2])
-
-    end = OrbitEnd(tag=tag, final_slope=u_arr[-1], diagnostics=diag)
-    slope_stats = PhaseStats("LSODA", int(sol2.nfev), int(sol2.njev),
-                             len(sol2.t) - 1, int(sol2.status))
-    return Orbit(eta=eta, X=X, Y=Y, termination=end,
-                 stats=stats + (slope_stats,))
+        (eta2, X2, Y2), end, slope_stats = _slope_phase(
+            params, K, math.log(X[-1]), slope, eta[-1])
+        eta, X, Y = (np.concatenate(pair) for pair in
+                     ((eta, eta2), (X, X2), (Y, Y2)))
+        stats += (slope_stats,)
+    return Orbit(eta=eta, X=X, Y=Y, termination=end, stats=stats)
 
 
 def integrate_from_p0(params: ModelParams, K: float) -> Orbit:

@@ -228,7 +228,8 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
         message = solver.step()
         if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
             raise ReconstructionError(
-                f"slope chart tail failed at ln X = {solver.t:.1f} ({message})"
+                f"slope chart tail failed at ln X = {solver.t:.1f} "
+                f"({message or 'nonfinite state'})"
             )
         ts.append(solver.t)
         steps.append(solver.dense_output())
@@ -237,7 +238,15 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
         converged = rest < ETA_TOL or abs(closed - rest) < CLOSED_REL * rest
     stats = PhaseStats("LSODA", int(solver.nfev), int(solver.njev),
                        len(steps), int(converged))
-    xi0 = xi_h * math.exp(solver.y[1] + rest)
+    try:
+        xi0 = xi_h * math.exp(solver.y[1] + rest)
+    except OverflowError:
+        xi0 = math.inf
+    if not math.isfinite(c * (xi0 * xi0)):
+        # the tail samples f from c xi^2 e^(-s)
+        raise ReconstructionError(
+            f"interface at K = {K:g} lies past the float range "
+            f"(alpha xi0^2 / 2m overflows)")
     s_last = (solver.t if rest < ETA_TOL
               else math.log(ETA_TOL * K * (q - 1.0)) / (1.0 - q))
     return _DenseRun(ts, steps), stats, xi0, s_last
@@ -450,4 +459,5 @@ def rescale(profile: Profile, lam: float) -> Profile:
         f=profile.f * fac,
         xi0=xi0,
         _eval=lambda x: fac * base(lam * x),
+        stats=profile.stats,
     )

@@ -285,6 +285,23 @@ def test_profile_at_huge_k_exit_code(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("m, p, N, K", [
+    ("3", "0.5", "3", "0.001"),
+    ("5", "0.9", "3", "0.01"),
+    ("1.5", "0.9", "1", "0.001"),
+    ("2", "0.5", "4", "0.0001"),
+])
+def test_profile_at_small_k_exit_code(tmp_path, capsys, m, p, N, K):
+    # the interface lies past the float range; this once escaped main as an
+    # OverflowError, or wrote overflow warnings to stderr
+    code, _, err = run(capsys, "profile", "--m", m, "--p", p, "--N", N,
+                       "--K", K, "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"K = {float(K):g}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_subcritical_find_kstar_rejected(capsys):
     code, _, err = run(capsys, "find-kstar", "--m", "1.2", "--p", "0.5",
                        "--N", "3")

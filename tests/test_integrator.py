@@ -326,6 +326,38 @@ def test_no_stop_by_the_ln_x_cap_is_unresolved(N):
     assert (slope.method, slope.status) == ("LSODA", 0)
 
 
+@pytest.mark.parametrize("start, params, K, eta_max, tag, diagnostics, phases", [
+    (None, SUPER, 8.0, None, OrbitTag.TO_Q3, "plunged below the Q4 ray", 1),
+    (None, SUPER, 0.1, 5.0, OrbitTag.UNRESOLVED, "eta budget exhausted at X=",
+     1),
+    (PhasePoint(90.0, 0.0), ModelParams(1.003, 0.5, 3), 1e-3, None,
+     OrbitTag.UNRESOLVED, "X-Y step size fell below its minimum at X=90", 1),
+    (None, SUPER, 0.1, None, OrbitTag.TO_Q1,
+     "trapped above the slope -(m-1)/2 at ln X = 4.6", 2),
+    (PhasePoint(1e300, -1e300), SUPER, 1.0, None, OrbitTag.UNRESOLVED,
+     "start at ln X = 690.8 is past the ln X cap 600.0", 2),
+    (None, ModelParams(1.5, 0.501, 3), 0.065, None, OrbitTag.TO_Q3,
+     "plunged below the Q4 ray (slope chart)", 2),
+    (None, ModelParams(1.5, 0.5 - 1e-9, 3), 1e-3, None, OrbitTag.UNRESOLVED,
+     "no stop fired by the ln X cap 600.0", 2),
+], ids=["xy-plunge", "eta-budget", "overflowing-start", "stop-at-escape",
+        "start-past-cap", "stop-fired-in-run", "no-stop-by-cap"])
+def test_every_ending_of_integrate(start, params, K, eta_max, tag, diagnostics,
+                                   phases, monkeypatch):
+    if eta_max is not None:
+        monkeypatch.setattr(integrator, "ETA_MAX", eta_max)
+    orbit = integrate(start or launch_from_p0(params, K), params, K)
+    end = orbit.termination
+    assert end.tag is tag
+    assert end.diagnostics.startswith(diagnostics)
+    assert len(orbit.stats) == phases
+    assert len(orbit.eta) == 1 + sum(phase.steps for phase in orbit.stats)
+    assert len(orbit.X) == len(orbit.Y) == len(orbit.eta)
+    # eta never decreases by more than LSODA's tolerance: near the cap its
+    # increments in the slope chart fall below that tolerance
+    assert np.all(np.diff(orbit.eta) >= -integrator.REL_TOL * orbit.eta[1:])
+
+
 def test_orbit_stats_count_both_phases():
     # next to m + p = 2: LSODA steps until the bound to plunge holds
     orbit = integrate_from_p0(ModelParams(1.5, 0.49, 3), 1e-4)

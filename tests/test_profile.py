@@ -300,12 +300,42 @@ def test_rescale_composes(prof_mid):
                        rtol=1e-12, atol=0.0)
 
 
+def test_rescale_keeps_the_solver_counts(prof_mid):
+    # a rescaled profile evaluates through the same two LSODA runs
+    assert len(prof_mid.stats) == 2
+    assert rescale(prof_mid, 2.0).stats == prof_mid.stats
+
+
 def test_rescale_requires_positive_lambda(prof_mid):
     # inf once gave xi0 = 0, 1e300 an f that underflowed to 0 everywhere and
     # 1e-300 a raw OverflowError from lam^(-2/(m-1))
     for lam in (0.0, -1.0, math.nan, math.inf, 1e300, 1e-300):
         with pytest.raises(DomainError, match="lambda"):
             rescale(prof_mid, lam)
+
+
+@pytest.mark.parametrize("params, K", [
+    # xi0 = xi_h e^(eta + rest) overflowed a Python float
+    (ModelParams(3.0, 0.5, 3), 1e-3),
+    (ModelParams(5.0, 0.9, 3), 1e-2),
+    (ModelParams(1.5, 0.9, 1), 1e-3),
+    # xi0 is finite, but alpha xi^2 / 2m overflowed in the tail samples
+    (SUPER, 1e-4),
+    (ModelParams(1.5, 0.9, 1), 10.0**-2.5),
+])
+def test_interface_past_the_float_range_names_k(params, K):
+    with pytest.raises(ReconstructionError,
+                       match=f"interface at K = {K:g} lies past the float"):
+        reconstruct(params, K)
+
+
+def test_tail_failure_names_its_cause():
+    # a step that leaves the float range reports no solver message, which
+    # once printed as "(None)"
+    with pytest.raises(ReconstructionError) as exc:
+        reconstruct(ModelParams(5.0, 0.9, 3), 10.0**-3.5)
+    assert str(exc.value) == ("slope chart tail failed at ln X = 40.6 "
+                              "(nonfinite state)")
 
 
 def test_import_loads_no_interpolation():
