@@ -1,7 +1,7 @@
 """Command-line front end with deterministic, diff-stable file output.
 
 Each ``_cmd_*`` computes its result and returns its JSON fields (or None),
-its CSV tables as ``(suffix, meta, columns, rows)`` and a failure message
+its CSV tables as ``(suffix, meta, names, columns)`` and a failure message
 (or ""); ``main`` alone writes them and picks the exit code. Every output
 echoes the model parameters (including the derived weight exponent sigma);
 floats are printed with round-trip precision so identical inputs produce
@@ -43,19 +43,27 @@ EXIT_FLAGS = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+#: rows formatted and written at a time by _write_csv
+CSV_BLOCK = 1024
 
 
-def _write_csv(path: str, meta: dict, columns: list[str], rows) -> None:
-    """Metadata header, column names, then rows; string cells are verbatim."""
+def _write_csv(path: str, meta: dict, names: list[str], columns) -> None:
+    """Metadata header, column names, then one row per index of the
+    equal-length columns; floats in round-trip precision, a column of
+    strings verbatim."""
+    cells = [col if len(col) and isinstance(col[0], str)
+             else np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, val in meta.items():
             fh.write(f"# {key} = {val}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v)
-                              for v in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(cells[0]), CSV_BLOCK):
+            # Python floats one block at a time: a whole column of them
+            # would raise the peak memory by 24 bytes a cell
+            block = [col[start:start + CSV_BLOCK] for col in cells]
+            text = [list(map(repr, col.tolist()))
+                    if isinstance(col, np.ndarray) else col for col in block]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def _model_meta(params: ModelParams) -> dict:
@@ -168,7 +176,7 @@ def _cmd_sweep(params: ModelParams, args):
         "notes": notes,
     }
     csv = (".csv", {"regime": reg.value}, ["K", "tag"],
-           [(k, t.value) for k, t in probes])
+           [[k for k, _ in probes], [t.value for _, t in probes]])
     failure = f"sweep has unresolved probes: {notes}" if unresolved else ""
     return fields, [csv], failure
 
@@ -191,7 +199,7 @@ def _cmd_profile(params: ModelParams, args):
         "interface_constant": fit.constant,
         "interface_type": fit.type_label.value,
     }
-    return fields, [(".csv", meta, ["xi", "f"], zip(prof.xi, prof.f))], ""
+    return fields, [(".csv", meta, ["xi", "f"], [prof.xi, prof.f])], ""
 
 
 def _cmd_portrait(params: ModelParams, args):
@@ -210,7 +218,7 @@ def _cmd_portrait(params: ModelParams, args):
         for i, (X0, Y0) in enumerate(starts)
     ]
     csvs = [(f"_{name}.csv", {"K": sp.K, "tag": orbit.termination.tag.value},
-             ["eta", "X", "Y"], zip(orbit.eta, orbit.X, orbit.Y))
+             ["eta", "X", "Y"], [orbit.eta, orbit.X, orbit.Y])
             for name, orbit in runs]
     return None, csvs, ""
 
@@ -229,7 +237,7 @@ def _cmd_tw(params: ModelParams, args):
         # for w(y, tau) = F(y - c*tau)
         "wave_form": "F(y - c*tau)",
     }
-    return fields, [(".csv", meta, ["z", "F"], zip(tw.z_grid, tw.F))], ""
+    return fields, [(".csv", meta, ["z", "F"], [tw.z_grid, tw.F])], ""
 
 
 _COMMANDS = {
@@ -258,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     meta = _model_meta(params)
-    for suffix, extra, columns, rows in csvs:
-        _write_csv(args.out + suffix, {**meta, **extra}, columns, rows)
+    for suffix, extra, names, columns in csvs:
+        _write_csv(args.out + suffix, {**meta, **extra}, names, columns)
     if fields is not None:
         doc = {"schema_version": SCHEMA_VERSION, **meta, **fields}
         text = json.dumps(doc, indent=2) + "\n"

@@ -158,9 +158,11 @@ def _stops(params: ModelParams, K: float):
 
     Each gap g(s, (u, eta)), once positive, stays positive along the orbit,
     and the orbit then ends at the tag's point; it is a terminal event of
-    ``solve_ivp`` with direction +1.  ``diagnostics`` is formatted with the
-    ln X where the stop fired.  With num = -u^2 - (m-1)u - K e^((q-2)s)
-    - (Nu - 2)e^(-s) and den = 2e^(-s) - (m-1)u > 0, du/ds = num/den.
+    ``solve_ivp`` with direction +1.  Every gap but the plunge's also holds
+    at 0, where the flow crosses its boundary into the stop.
+    ``diagnostics`` is formatted with the ln X where the stop fired.  With
+    num = -u^2 - (m-1)u - K e^((q-2)s) - (Nu - 2)e^(-s) and
+    den = 2e^(-s) - (m-1)u > 0, du/ds = num/den.
     """
     m1, N, q = params.m - 1.0, params.N, params.power_ratio
     reg = regime(params)
@@ -374,8 +376,20 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     q = params.power_ratio
     s_cap = LN_X_CAP if q <= 2.0 else min(LN_X_CAP, 690.0 / (q - 2.0))
     stops = _stops(params, K)
-    held = next(((tag, diag.format(s0)) for gap, tag, diag in stops
-                 if gap(s0, (u0,)) > 0.0), None)
+    rhs = _rhs_slope(params, K)
+
+    def holds(i, gap):
+        # a start on a stop's boundary (gap exactly 0) is decided here, as
+        # LSODA cannot bracket a crossing at its first point: the flow enters
+        # every stop but the plunge there (see _stops), and the plunge where
+        # u falls; below the cap, rhs does not overflow
+        g = gap(s0, (u0,))
+        return g > 0.0 or g == 0.0 and (
+            i > 0 or s0 < s_cap and rhs(s0, (u0, eta0))[0] < 0.0)
+
+    held = next(((tag, diag.format(s0))
+                 for i, (gap, tag, diag) in enumerate(stops) if holds(i, gap)),
+                None)
     if held is not None or s0 >= s_cap:
         # the slope chart runs up to the cap only; LSODA would run backwards
         tag, diag = held or (OrbitTag.UNRESOLVED,
@@ -387,7 +401,7 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     # the slope relaxes onto a slow manifold whose attraction rate grows
     # exponentially in s: stiff, so use an implicit-capable method here
     sol = solve_ivp(
-        _rhs_slope(params, K),
+        rhs,
         (s0, s_cap),
         [u0, eta0],
         method="LSODA",

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from selfsim import cli
@@ -178,6 +179,22 @@ def test_profile_files(tmp_path, capsys):
     header = (tmp_path / "prof.csv").read_text().splitlines()[:10]
     assert any(line.startswith("# xi0 = ") for line in header)
     assert "xi,f" in header
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli.CSV_BLOCK, 2 * cli.CSV_BLOCK + 3])
+def test_write_csv_matches_the_row_by_row_text(tmp_path, rows):
+    # reference: one row at a time, every float cell as repr(float(v))
+    rng = np.random.default_rng(rows)
+    xs = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    ys = rng.random(rows)
+    ys[-1:] = np.inf
+    tags = [f"t{i}" for i in range(rows)]
+    meta = {"m": 2.0, "tag": "ToQ1"}
+    expected = "# m = 2.0\n# tag = ToQ1\nx,y,tag\n" + "".join(
+        f"{float(x)!r},{float(y)!r},{t}\n" for x, y, t in zip(xs, ys, tags))
+    cli._write_csv(str(tmp_path / "t.csv"), meta, ["x", "y", "tag"],
+                   [xs, list(ys), tags])
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_tw_files(tmp_path, capsys):

@@ -314,6 +314,28 @@ def test_start_past_the_ln_x_cap_runs_no_lsoda_step(start, tag, diagnostics,
                            PhaseStats("LSODA", 0, 0, 0, status))
 
 
+@pytest.mark.parametrize("start, tag, diagnostics", [
+    # on the trap line u = -(m-1)/2 = -1, with the K term below (m-1)^2/4
+    (PhasePoint(1e10, -1e10), OrbitTag.TO_Q1,
+     "trapped above the slope -(m-1)/2 at ln X = 23.0"),
+    (PhasePoint(1e100, -1e100), OrbitTag.TO_Q1,
+     "trapped above the slope -(m-1)/2 at ln X = 230.3"),
+    # on the plunge line u = -3(m-1) = -6, where u falls
+    (PhasePoint(1e10, -6e10), OrbitTag.TO_Q3,
+     "plunged below the Q4 ray (slope chart)"),
+], ids=["trap-1e10", "trap-1e100", "plunge-1e10"])
+def test_start_on_a_stop_boundary_is_decided_at_escape(start, tag,
+                                                       diagnostics):
+    # the gap is exactly 0 at the start: LSODA's event search could not
+    # bracket the crossing and brentq raised a ValueError
+    orbit = integrate(start, ModelParams(3.0, 0.5, 3), 1e-3)
+    assert orbit.termination.tag is tag
+    assert orbit.termination.diagnostics == diagnostics
+    assert len(orbit.eta) == 1
+    assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),
+                           PhaseStats("LSODA", 0, 0, 0, 1))
+
+
 @pytest.mark.parametrize("N", [1, 3])
 def test_no_stop_by_the_ln_x_cap_is_unresolved(N):
     # just below m + p = 2 the bound to plunge cannot turn positive by the

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from selfsim.params import (
     DomainError,
@@ -10,8 +11,10 @@ from selfsim.params import (
     alpha_beta_from_k,
     alpha_star_critical,
 )
+from selfsim import solution
 from selfsim.profile import reconstruct
 from selfsim.solution import (
+    _masses,
     convection_coefficient,
     evaluate_u,
     make_solution,
@@ -117,6 +120,43 @@ def test_mass_growth_rate_needs_two_times(sol_fig3a, t_samples, capfd):
     with pytest.raises(DomainError, match=match):
         mass_growth_rate(sol_fig3a, t_samples)
     assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("mpn, K", [
+    # the mass sits in a thin region there: a fixed 1024-point rule graded
+    # toward the interface was off by 2.0e-3 and 5.2e-5
+    ((5.0, 0.9, 3), 8.0), ((2.0, 0.9, 1), 0.3),
+    ((2.0, 0.5, 4), K_STAR_SUPER),
+])
+def test_masses_match_quad_over_each_support(mpn, K):
+    sol = make_solution(reconstruct(ModelParams(*mpn), K))
+    N = mpn[2]
+    t_samples = [0.0, 0.05, 0.1, 0.15]
+    masses = _masses(sol, t_samples)
+    for t, mass in zip(t_samples, masses):
+        edge = sol.profile.xi0 * math.exp(sol.beta * t)
+        ref, _ = quad(lambda r: evaluate_u(sol, r, t) * r ** (N - 1.0),
+                      0.0, edge, limit=200)
+        assert mass == pytest.approx(sphere_area(N) * ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda u, rng: np.nan, lambda u, rng: 0.0,
+    # noise the adaptive rule cannot resolve: it stops unconverged
+    lambda u, rng: u * rng.uniform(0.0, 2.0, u.shape),
+], ids=["nan", "zero", "noise"])
+def test_mass_growth_rate_names_the_failed_time(sol_fig3a, spoil,
+                                                monkeypatch):
+    rng = np.random.default_rng(7)
+
+    def spoiled(sol, r, t):
+        u = evaluate_u(sol, r, t)
+        u[:, 1] = spoil(u[:, 1], rng)
+        return u
+
+    monkeypatch.setattr(solution, "evaluate_u", spoiled)
+    with pytest.raises(DomainError, match=r"quadrature failed at t=0\.1$"):
+        mass_growth_rate(sol_fig3a, [0.0, 0.1, 0.2])
 
 
 def test_mass_growth_rate_critical_case():
