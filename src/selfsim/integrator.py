@@ -2,11 +2,14 @@
 
 Orbits of the planar system, whose one vector field is
 ``phaseplane.planar_field``, are advanced in the autonomous time eta by an
-in-module scalar Dormand-Prince 5(4) step, its six stages written out as
-float arithmetic over that field: the method, tableau, initial step, error
-norm and step-size controller of scipy's RK45, step for step, with the
-escape and plunge events tested as two scalars after each accepted step
-instead of through ``solve_ivp``'s per-step event machinery.
+in-module scalar DOP853 step, its twelve stages written out as float
+arithmetic over that field: the method, tableau, initial step, error norm
+and step-size controller of scipy's DOP853, step for step, with the escape
+and plunge events tested as two scalars after each accepted step instead
+of through ``solve_ivp``'s per-step event machinery.  Its 8th-order step
+meets ``REL_TOL`` in about a fifth of the steps of a 5(4) pair, at twice
+the evaluations per step; the dense output is built only on the step where
+an event occurs.
 The free boundary of the profile is only reached as X -> infinity, so
 classification happens at escape:
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from selfsim.params import DomainError, ModelParams, Regime, regime
@@ -60,14 +63,16 @@ REL_TOL, ABS_TOL = 1e-10, 1e-12
 #: X of the launch point on the distinguished direction at P0
 LAUNCH_OFFSET = 1e-6
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-5):
-# scipy's RK45 tableau read as Python floats, its rows cut to the stages
-# they combine
-_A = [row[:s] for s, row in enumerate(RK45.A.tolist())]
-_B = RK45.B.tolist()
-_E = RK45.E.tolist()
-_P = RK45.P.tolist()
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): scipy's tableau
+# read as Python floats, the rows of A cut to the stages they combine; the
+# field is autonomous, so the stage times C and C_EXTRA drop out
+_A = [row[:s] for s, row in enumerate(DOP853.A.tolist())]
+_B = DOP853.B.tolist()
+_E5 = DOP853.E5.tolist()
+_E3 = DOP853.E3.tolist()
+_A_EXTRA = DOP853.A_EXTRA.tolist()
+_D = DOP853.D.tolist()
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2.0**0.5
@@ -213,18 +218,51 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
-def _dense(t_old: float, h: float, x_old: float, y_old: float, kx, ky):
-    """The quartic dense output of one Dormand-Prince step, as RK45's."""
-    qx = [sum(k * P[i] for k, P in zip(kx, _P)) for i in range(4)]
-    qy = [sum(k * P[i] for k, P in zip(ky, _P)) for i in range(4)]
+def _error_norm(h: float, e5x: float, e5y: float, e3x: float,
+                e3y: float) -> float:
+    """DOP853's error norm of one attempt from its scaled error estimates.
+
+    This is scipy's |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)), with each
+    squared norm taken as np.linalg.norm(.)**2.  Where a square overflows,
+    h e5 and h e3 are squared instead: the same norm, as h divides out.
+    """
+    r5, r3 = math.sqrt(e5x * e5x + e5y * e5y), math.sqrt(e3x * e3x + e3y * e3y)
+    n5, n3 = r5 * r5, r3 * r3
+    if n5 == 0.0 and n3 == 0.0:
+        return 0.0
+    if n5 + n3 < math.inf:
+        return h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+    e5x, e5y, e3x, e3y = h * e5x, h * e5y, h * e3x, h * e3y
+    n5, n3 = e5x * e5x + e5y * e5y, e3x * e3x + e3y * e3y
+    return n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+
+
+def _dense(field, t_old: float, h: float, x_old: float, y_old: float,
+           x_new: float, y_new: float, kx: list, ky: list):
+    """The 7th-order dense output of one DOP853 step, as scipy builds it.
+
+    ``kx`` and ``ky`` hold the step's 13 slopes, its 12 stages and the slope
+    at its end; the three extra stages are appended to them.
+    """
+    for a in _A_EXTRA:
+        # zip stops at the slopes computed so far, as scipy's a[:s]
+        sx, sy = field(x_old + sum(k * c for k, c in zip(kx, a)) * h,
+                       y_old + sum(k * c for k, c in zip(ky, a)) * h)
+        kx.append(sx)
+        ky.append(sy)
+    dx, dy = x_new - x_old, y_new - y_old
+    F = [(dx, dy), (h * kx[0] - dx, h * ky[0] - dy),
+         (2.0 * dx - h * (kx[12] + kx[0]), 2.0 * dy - h * (ky[12] + ky[0]))]
+    F += [(h * sum(k * c for k, c in zip(kx, d)),
+           h * sum(k * c for k, c in zip(ky, d))) for d in _D]
 
     def at(t: float) -> tuple[float, float]:
         r = (t - t_old) / h
-        powers = (r, r * r, r * r * r, r * r * r * r)
-        return (
-            h * sum(q * w for q, w in zip(qx, powers)) + x_old,
-            h * sum(q * w for q, w in zip(qy, powers)) + y_old,
-        )
+        x = y = 0.0
+        for i, (gx, gy) in enumerate(reversed(F)):
+            w = r if i % 2 == 0 else 1.0 - r
+            x, y = (x + gx) * w, (y + gy) * w
+        return x + x_old, y + y_old
 
     return at
 
@@ -232,16 +270,19 @@ def _dense(t_old: float, h: float, x_old: float, y_old: float, kx, ky):
 def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     """Step the planar system from (x, y) until an event or ``ETA_MAX``.
 
-    This is scipy's RK45 on Python floats (K, x and y must be floats): the
-    same initial step, stages, error norm, step-size controller and quartic
-    dense output.  An attempt through a state where K X^q passes the float
-    range meets the field's -inf there and fails the error test, as in
-    RK45.  The events are tested after each accepted step: X rising through
-    ``X_BIG`` is an escape, Y + 3(m-1)X + 10 falling through 0, far below
-    the Q4 ray, is a plunge.  An event's root is found on the dense output
-    with ``brentq`` and becomes the last sample; if both occur in one step
-    the earlier root wins.  A start already below the plunge line is a
-    plunge before the first step; failing that, a start at or past
+    This is scipy's DOP853 on Python floats (K, x and y must be floats): the
+    same initial step, twelve stages, error norm, step-size controller and
+    7th-order dense output, except that the norm does not overflow where a
+    squared error estimate would (``_error_norm``).  An attempt through a
+    state where K X^q passes the float range meets the field's -inf there
+    and fails the error test, as in DOP853.  The events are tested after
+    each accepted step: X rising through ``X_BIG`` is an escape,
+    Y + 3(m-1)X + 10 falling through 0, far below the Q4 ray, is a plunge.
+    Only on a step where an event occurs is the dense output built, at
+    three more evaluations; the event's root is found on it with
+    ``brentq`` and becomes the last sample, and if both events occur in
+    one step the earlier root wins.  A start already below the plunge line
+    is a plunge before the first step; failing that, a start at or past
     ``X_BIG`` with X still rising (Y < 2/(m-1)) is an escape before the
     first step.
 
@@ -262,9 +303,9 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     ts, xs, ys = [t], [x], [y]
     g_escape, g_plunge = escape_gap(x, y), plunge_gap(x, y)
     if g_plunge < 0.0:
-        return ts, xs, ys, "plunge", PhaseStats("RK45", 0, 0, 0, 1)
+        return ts, xs, ys, "plunge", PhaseStats("DOP853", 0, 0, 0, 1)
     if g_escape >= 0.0 and y < 2.0 / (params.m - 1.0):
-        return ts, xs, ys, "escape", PhaseStats("RK45", 0, 0, 0, 1)
+        return ts, xs, ys, "escape", PhaseStats("DOP853", 0, 0, 0, 1)
 
     # initial step (Hairer, Norsett & Wanner II.4), as select_initial_step
     fx, fy = field(x, y)
@@ -282,13 +323,22 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     h_abs = min(100.0 * h0, h1, t_bound)
     nfev = 2
 
-    # the stages written out over the tableau's nonzero entries (B[1] and
-    # E[1] are 0), each sum in scipy's order; the field is autonomous, so
-    # the stage times C drop out
-    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54)) = _A[1:]
-    b0, _, b2, b3, b4, b5 = _B
-    e0, _, e2, e3, e4, e5, e6 = _E
+    # the stages written out over the tableau's nonzero entries, each sum in
+    # scipy's order; E5[12] and E3[12] are 0 but kept, so that a nonfinite
+    # slope at the step's end fails the error test, as in scipy
+    (_, (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
+     (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
+     (a7_0, _, _, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
+     (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9,
+      a11_10)) = _A
+    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _B
+    (e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11,
+     e5_12) = _E5
+    (e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11,
+     e3_12) = _E3
     event = status = None
     while status is None:
         min_step = 10.0 * math.ulp(t)
@@ -298,33 +348,75 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            k1x, k1y = field(x + fx * a10 * h, y + fy * a10 * h)
-            k2x, k2y = field(x + (fx * a20 + k1x * a21) * h,
-                             y + (fy * a20 + k1y * a21) * h)
-            k3x, k3y = field(x + (fx * a30 + k1x * a31 + k2x * a32) * h,
-                             y + (fy * a30 + k1y * a31 + k2y * a32) * h)
+            k1x, k1y = field(
+                x + (fx * a1_0) * h,
+                y + (fy * a1_0) * h)
+            k2x, k2y = field(
+                x + (fx * a2_0 + k1x * a2_1) * h,
+                y + (fy * a2_0 + k1y * a2_1) * h)
+            k3x, k3y = field(
+                x + (fx * a3_0 + k2x * a3_2) * h,
+                y + (fy * a3_0 + k2y * a3_2) * h)
             k4x, k4y = field(
-                x + (fx * a40 + k1x * a41 + k2x * a42 + k3x * a43) * h,
-                y + (fy * a40 + k1y * a41 + k2y * a42 + k3y * a43) * h)
+                x + (fx * a4_0 + k2x * a4_2 + k3x * a4_3) * h,
+                y + (fy * a4_0 + k2y * a4_2 + k3y * a4_3) * h)
             k5x, k5y = field(
-                x + (fx * a50 + k1x * a51 + k2x * a52 + k3x * a53
-                     + k4x * a54) * h,
-                y + (fy * a50 + k1y * a51 + k2y * a52 + k3y * a53
-                     + k4y * a54) * h)
-            x_new = x + h * (fx * b0 + k2x * b2 + k3x * b3 + k4x * b4
-                             + k5x * b5)
-            y_new = y + h * (fy * b0 + k2y * b2 + k3y * b3 + k4y * b4
-                             + k5y * b5)
-            k6x, k6y = field(x_new, y_new)
-            ex = (fx * e0 + k2x * e2 + k3x * e3 + k4x * e4 + k5x * e5
-                  + k6x * e6)
-            ey = (fy * e0 + k2y * e2 + k3y * e3 + k4y * e4 + k5y * e5
-                  + k6y * e6)
-            err = _rms(
-                ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
-                ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
-            )
-            nfev += 6
+                x + (fx * a5_0 + k3x * a5_3 + k4x * a5_4) * h,
+                y + (fy * a5_0 + k3y * a5_3 + k4y * a5_4) * h)
+            k6x, k6y = field(
+                x + (fx * a6_0 + k3x * a6_3 + k4x * a6_4 + k5x * a6_5) * h,
+                y + (fy * a6_0 + k3y * a6_3 + k4y * a6_4 + k5y * a6_5) * h)
+            k7x, k7y = field(
+                x + (fx * a7_0 + k3x * a7_3 + k4x * a7_4 + k5x * a7_5
+                     + k6x * a7_6) * h,
+                y + (fy * a7_0 + k3y * a7_3 + k4y * a7_4 + k5y * a7_5
+                     + k6y * a7_6) * h)
+            k8x, k8y = field(
+                x + (fx * a8_0 + k3x * a8_3 + k4x * a8_4 + k5x * a8_5
+                     + k6x * a8_6 + k7x * a8_7) * h,
+                y + (fy * a8_0 + k3y * a8_3 + k4y * a8_4 + k5y * a8_5
+                     + k6y * a8_6 + k7y * a8_7) * h)
+            k9x, k9y = field(
+                x + (fx * a9_0 + k3x * a9_3 + k4x * a9_4 + k5x * a9_5
+                     + k6x * a9_6 + k7x * a9_7 + k8x * a9_8) * h,
+                y + (fy * a9_0 + k3y * a9_3 + k4y * a9_4 + k5y * a9_5
+                     + k6y * a9_6 + k7y * a9_7 + k8y * a9_8) * h)
+            k10x, k10y = field(
+                x + (fx * a10_0 + k3x * a10_3 + k4x * a10_4 + k5x * a10_5
+                     + k6x * a10_6 + k7x * a10_7 + k8x * a10_8
+                     + k9x * a10_9) * h,
+                y + (fy * a10_0 + k3y * a10_3 + k4y * a10_4 + k5y * a10_5
+                     + k6y * a10_6 + k7y * a10_7 + k8y * a10_8
+                     + k9y * a10_9) * h)
+            k11x, k11y = field(
+                x + (fx * a11_0 + k3x * a11_3 + k4x * a11_4 + k5x * a11_5
+                     + k6x * a11_6 + k7x * a11_7 + k8x * a11_8 + k9x * a11_9
+                     + k10x * a11_10) * h,
+                y + (fy * a11_0 + k3y * a11_3 + k4y * a11_4 + k5y * a11_5
+                     + k6y * a11_6 + k7y * a11_7 + k8y * a11_8 + k9y * a11_9
+                     + k10y * a11_10) * h)
+            x_new = x + h * (fx * b0 + k5x * b5 + k6x * b6 + k7x * b7
+                             + k8x * b8 + k9x * b9 + k10x * b10 + k11x * b11)
+            y_new = y + h * (fy * b0 + k5y * b5 + k6y * b6 + k7y * b7
+                             + k8y * b8 + k9y * b9 + k10y * b10 + k11y * b11)
+            k12x, k12y = field(x_new, y_new)
+            sx = atol + max(abs(x), abs(x_new)) * rtol
+            sy = atol + max(abs(y), abs(y_new)) * rtol
+            err = _error_norm(
+                h,
+                (fx * e5_0 + k5x * e5_5 + k6x * e5_6 + k7x * e5_7 + k8x * e5_8
+                 + k9x * e5_9 + k10x * e5_10 + k11x * e5_11
+                 + k12x * e5_12) / sx,
+                (fy * e5_0 + k5y * e5_5 + k6y * e5_6 + k7y * e5_7 + k8y * e5_8
+                 + k9y * e5_9 + k10y * e5_10 + k11y * e5_11
+                 + k12y * e5_12) / sy,
+                (fx * e3_0 + k5x * e3_5 + k6x * e3_6 + k7x * e3_7 + k8x * e3_8
+                 + k9x * e3_9 + k10x * e3_10 + k11x * e3_11
+                 + k12x * e3_12) / sx,
+                (fy * e3_0 + k5y * e3_5 + k6y * e3_6 + k7y * e3_7 + k8y * e3_8
+                 + k9y * e3_9 + k10y * e3_10 + k11y * e3_11
+                 + k12y * e3_12) / sy)
+            nfev += 12
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT))
@@ -341,8 +433,12 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
         escaped = g_escape <= 0.0 <= g_escape_new
         plunged = g_plunge >= 0.0 >= g_plunge_new
         if escaped or plunged:
-            at = _dense(t, h, x, y, (fx, k1x, k2x, k3x, k4x, k5x, k6x),
-                        (fy, k1y, k2y, k3y, k4y, k5y, k6y))
+            at = _dense(field, t, h, x, y, x_new, y_new,
+                        [fx, k1x, k2x, k3x, k4x, k5x, k6x, k7x, k8x, k9x,
+                         k10x, k11x, k12x],
+                        [fy, k1y, k2y, k3y, k4y, k5y, k6y, k7y, k8y, k9y,
+                         k10y, k11y, k12y])
+            nfev += 3
             t_new, event = min(
                 (brentq(lambda s, gap=gap: gap(*at(s)), t, t_new,
                         xtol=4.0 * _EPS, rtol=4.0 * _EPS), name)
@@ -354,12 +450,13 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
             status = 1
         elif t_new >= t_bound:
             status = 0
-        t, x, y, fx, fy = t_new, x_new, y_new, k6x, k6y
+        t, x, y, fx, fy = t_new, x_new, y_new, k12x, k12y
         g_escape, g_plunge = g_escape_new, g_plunge_new
         ts.append(t)
         xs.append(x)
         ys.append(y)
-    return ts, xs, ys, event, PhaseStats("RK45", nfev, 0, len(ts) - 1, status)
+    return ts, xs, ys, event, PhaseStats("DOP853", nfev, 0, len(ts) - 1,
+                                         status)
 
 
 def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
@@ -474,11 +571,35 @@ def integrate_from_p0(params: ModelParams, K: float) -> Orbit:
     return integrate(launch_from_p0(params, K), params, K)
 
 
+def _resample(params: ModelParams, K: float, X: np.ndarray, Y: np.ndarray,
+              grid: np.ndarray) -> np.ndarray:
+    """Y of an orbit's samples (X, Y) at the X values ``grid``.
+
+    The samples are joined by cubic Hermite pieces in ln X, whose slopes
+    dY/d(ln X) = X dY/dX come from ``planar_field`` at the samples.  X must
+    increase along the samples, and the grid must lie within their range.
+    """
+    field = planar_field(params, float(K))
+    dX, dY = np.array([field(x, y) for x, y in zip(X.tolist(), Y.tolist())]).T
+    # slope-chart samples far past X_BIG can overflow the field; a piece
+    # uses only the slopes at its own two ends
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = X * dY / dX
+    s, sg = np.log(X), np.log(grid)
+    i = np.clip(np.searchsorted(s, sg), 1, len(s) - 1)
+    h = s[i] - s[i - 1]
+    r = (sg - s[i - 1]) / h
+    return ((1.0 + 2.0 * r) * (1.0 - r) ** 2 * Y[i - 1]
+            + r * (1.0 - r) ** 2 * h * slope[i - 1]
+            + r * r * (3.0 - 2.0 * r) * Y[i]
+            + r * r * (r - 1.0) * h * slope[i])
+
+
 def orbit_monotonicity_check(params: ModelParams, K1: float, K2: float) -> bool:
     """Check that the P0-orbit moves down pointwise as K increases.
 
-    Both orbits are resampled as Y(X) on a shared logarithmic X-grid below
-    the line Y = 2/(m-1); returns True iff Y_{K2}(X) < Y_{K1}(X) on every
+    Both orbits are resampled as Y(X) (``_resample``) on a shared
+    logarithmic X-grid below the line Y = 2/(m-1); returns True iff Y_{K2}(X) < Y_{K1}(X) on every
     grid point.
     """
     if not 0.0 < K1 < K2:
@@ -497,7 +618,8 @@ def orbit_monotonicity_check(params: ModelParams, K1: float, K2: float) -> bool:
     if not hi > lo:
         raise DomainError("orbits do not share a common X range")
     grid = np.geomspace(lo, hi, MONOTONICITY_GRID)
-    y_on_grid = [np.interp(grid, x, y) for x, y in zip(xs, ys)]
+    y_on_grid = [_resample(params, k, x, y, grid)
+                 for k, x, y in zip((K1, K2), xs, ys)]
     # near the launch point the two orbits agree to O(delta^q), which can be
     # below double precision; allow machine-level ties there but demand a
     # genuine separation over most of the shared range

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from selfsim import integrator
 from selfsim.integrator import (
     X_BIG,
     OrbitTag,
     PhaseStats,
+    _resample,
     _rhs_slope,
     integrate,
     integrate_from_p0,
@@ -114,16 +115,35 @@ def test_reintegration_from_interior_sample():
     x_hi = min(orbit.X[-1], again.X[-1]) * 0.999
     grid = np.geomspace(x_lo, x_hi, 20)
     # the endpoints agree to integrator accuracy; pointwise comparison is
-    # limited by linear resampling of the sparse adaptive output
+    # limited by the cubic resampling of the sparse adaptive output
     assert again.X[-1] == pytest.approx(orbit.X[-1], rel=1e-8)
-    y_old = np.interp(np.log(grid), np.log(orbit.X[i:]), orbit.Y[i:])
-    y_new = np.interp(np.log(grid), np.log(again.X), again.Y)
+    y_old = _resample(SUPER, 8.0, orbit.X[i:], orbit.Y[i:], grid)
+    y_new = _resample(SUPER, 8.0, again.X, again.Y, grid)
     assert np.allclose(y_old, y_new, rtol=1e-3, atol=1e-5)
 
 
 def test_monotone_in_k():
     assert orbit_monotonicity_check(SUPER, 0.1, 0.2)
     assert orbit_monotonicity_check(CRIT, 0.01, 0.05)
+
+
+@pytest.mark.parametrize("K1, ratio", [
+    (0.03162277660168379, 1.1), (31.622776601683793, 1.01)])
+def test_monotone_in_k_between_sparse_samples(K1, ratio):
+    # the X-Y phase samples only its step ends; Y resampled linearly in X
+    # between them put the orbit of K2 = ratio*K1 above that of K1 here
+    assert orbit_monotonicity_check(SUB, K1, K1 * ratio)
+
+
+def test_resample_is_cubic_between_samples():
+    # on one orbit, resampling every other sample recovers the rest far
+    # closer than a straight line between them
+    orbit = integrate_from_p0(SUPER, 8.0)
+    X, Y = orbit.X, orbit.Y
+    mid = _resample(SUPER, 8.0, X[::2], Y[::2], X[1:-1:2])
+    line = np.interp(np.log(X[1:-1:2]), np.log(X[::2]), Y[::2])
+    err, err_line = np.abs(mid - Y[1:-1:2]), np.abs(line - Y[1:-1:2])
+    assert err.max() < 1e-2 * err_line.max()
 
 
 def test_monotonicity_preconditions():
@@ -153,7 +173,7 @@ def test_integrate_requires_positive_start():
 
 
 def _reference_xy(start, params, K):
-    """The X-Y phase as solve_ivp's RK45 runs it, with terminal events."""
+    """The X-Y phase as solve_ivp's DOP853 runs it, with terminal events."""
     m = params.m
 
     def escape(eta, y):
@@ -165,7 +185,7 @@ def _reference_xy(start, params, K):
     escape.terminal, escape.direction = True, 1.0
     plunge.terminal, plunge.direction = True, -1.0
     return solve_ivp(planar_rhs(params, K), (0.0, integrator.ETA_MAX),
-                     [start.X, start.Y], method="RK45",
+                     [start.X, start.Y], method="DOP853",
                      rtol=integrator.REL_TOL, atol=integrator.ABS_TOL,
                      events=[escape, plunge])
 
@@ -199,6 +219,8 @@ def _reference_xy(start, params, K):
     for m in (1.0002, 1.0001, 1.00001) for K in (1e-3, 1.0, 1e3)])
 def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
                                           event, monkeypatch):
+    # the X-Y phase is stepped by DOP853; the name is kept so that the 21
+    # case ids stay stable
     if tols is not None:
         monkeypatch.setattr(integrator, "REL_TOL", tols[0])
         monkeypatch.setattr(integrator, "ABS_TOL", tols[1])
@@ -211,7 +233,7 @@ def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
         ref = _reference_xy(start, params, K)
     orbit = integrate(start, params, K)
     xy = orbit.stats[0]
-    assert xy.method == "RK45"
+    assert xy.method == "DOP853"
     assert (xy.nfev, xy.njev, xy.steps, xy.status) == (
         ref.nfev, 0, len(ref.t) - 1, ref.status)
     fired = [name for name, t in zip(("escape", "plunge"), ref.t_events)
@@ -224,12 +246,17 @@ def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
                                rtol=1e-10)
 
 
-def test_rk45_tableau_premises():
-    # the written-out X-Y step leaves out the zero weights B[1] and E[1];
-    # its sixth stage sits at the end of the step, as in Dormand-Prince 5(4)
-    assert RK45.B[1] == 0.0
-    assert RK45.E[1] == 0.0
-    assert RK45.C[5] == 1.0
+def test_dop853_tableau_premises():
+    # the written-out X-Y step leaves out these zero entries of A, B, E5 and
+    # E3; its twelfth stage sits at the end of the step, like the slope
+    # there that the next step reuses
+    A = DOP853.A
+    assert A.shape == (12, 12)
+    assert np.all(A[3:5, 1] == 0.0) and np.all(A[5:, 1:3] == 0.0)
+    assert np.all(DOP853.B[1:5] == 0.0)
+    for E in (DOP853.E5, DOP853.E3):
+        assert len(E) == 13 and np.all(E[1:5] == 0.0)
+    assert DOP853.C[11] == 1.0
 
 
 def test_start_below_plunge_line_is_q3():
@@ -239,7 +266,7 @@ def test_start_below_plunge_line_is_q3():
     assert end.diagnostics == "plunged below the Q4 ray"
     assert end.final_slope == -20.0
     assert list(orbit.X) == [1.0] and list(orbit.Y) == [-20.0]
-    assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),)
+    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),)
 
 
 def test_start_past_x_big_escapes_at_once(monkeypatch):
@@ -248,13 +275,15 @@ def test_start_past_x_big_escapes_at_once(monkeypatch):
     monkeypatch.setattr(integrator, "ETA_MAX", 0.05)
     orbit = integrate(PhasePoint(2e4, 0.0), SUPER, 0.1)
     assert orbit.termination.tag is OrbitTag.TO_Q1
-    assert orbit.stats[0] == PhaseStats("RK45", 0, 0, 0, 1)
+    assert orbit.stats[0] == PhaseStats("DOP853", 0, 0, 0, 1)
     assert orbit.stats[1].method == "LSODA"
 
 
 @pytest.mark.parametrize("m, start, tag, samples", [
-    # the norm of the first slope overflows: the first trial step is 0
-    (1.005, PhasePoint(50.0, 0.0), OrbitTag.TO_Q3, 157),
+    # the norm of the first slope overflows: the first trial step is the
+    # minimum, where scipy's error norm squares an error estimate of about
+    # 1e176 before it multiplies by h, so solve_ivp rejects every attempt
+    (1.005, PhasePoint(50.0, 0.0), OrbitTag.TO_Q3, 159),
     # X^q overflows a Python float at the start: no step is taken
     (1.003, PhasePoint(90.0, 0.0), OrbitTag.UNRESOLVED, 1),
     # the portrait command's (2, 1) and (2, -2(m-1)) starts at m = 1.0001
@@ -262,17 +291,22 @@ def test_start_past_x_big_escapes_at_once(monkeypatch):
     (1.0001, PhasePoint(2.0, -2e-4), OrbitTag.UNRESOLVED, 1),
 ])
 def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
-    # solve_ivp ended these orbits the same way, with overflow warnings; an
-    # orbit that takes no step names its step-size failure
+    # solve_ivp ended the last three orbits the same way, with overflow
+    # warnings; an orbit that takes no step names its step-size failure
     params = ModelParams(m, 0.5, 3)
     orbit = integrate(start, params, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = _reference_xy(start, params, 1e-3)
     xy = orbit.stats[0]
-    # a start where K X^q overflows makes RK45's one attempt at the minimum
-    # step: 2 evaluations for the first step and 6 for the attempt
-    assert (xy.nfev, xy.steps, xy.status) == (ref.nfev, len(ref.t) - 1,
-                                              ref.status)
+    # solve_ivp's one attempt at the minimum step: 2 evaluations for the
+    # first step and 12 for the attempt
+    assert (ref.nfev, len(ref.t) - 1, ref.status) == (14, 0, -1)
+    if tag is OrbitTag.TO_Q3:
+        # 158 attempts, none rejected, and the dense output of the last
+        assert (xy.nfev, xy.steps, xy.status) == (2 + 12 * 158 + 3, 158, 1)
+    else:
+        assert (xy.nfev, xy.steps, xy.status) == (ref.nfev, len(ref.t) - 1,
+                                                  ref.status)
     assert orbit.termination.tag is tag
     assert len(orbit.eta) == samples
     assert orbit.termination.diagnostics == {
@@ -310,7 +344,7 @@ def test_start_past_the_ln_x_cap_runs_no_lsoda_step(start, tag, diagnostics,
     assert orbit.termination.tag is tag
     assert orbit.termination.diagnostics == diagnostics
     assert len(orbit.eta) == 1
-    assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),
+    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
                            PhaseStats("LSODA", 0, 0, 0, status))
 
 
@@ -332,7 +366,7 @@ def test_start_on_a_stop_boundary_is_decided_at_escape(start, tag,
     assert orbit.termination.tag is tag
     assert orbit.termination.diagnostics == diagnostics
     assert len(orbit.eta) == 1
-    assert orbit.stats == (PhaseStats("RK45", 0, 0, 0, 1),
+    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
                            PhaseStats("LSODA", 0, 0, 0, 1))
 
 
@@ -384,11 +418,12 @@ def test_orbit_stats_count_both_phases():
     # next to m + p = 2: LSODA steps until the bound to plunge holds
     orbit = integrate_from_p0(ModelParams(1.5, 0.49, 3), 1e-4)
     xy, slope = orbit.stats
-    assert (xy.method, xy.njev, xy.status) == ("RK45", 0, 1)
+    assert (xy.method, xy.njev, xy.status) == ("DOP853", 0, 1)
     assert (slope.method, slope.status) == ("LSODA", 1)
-    # the first stage reuses the last slope: 6 evaluations per attempt,
-    # plus 2 to choose the first step
-    assert (xy.nfev - 2) % 6 == 0 and xy.nfev >= 2 + 6 * xy.steps
+    # the first stage reuses the last slope: 12 evaluations per attempt,
+    # plus 2 to choose the first step and 3 for the dense output of the
+    # step with the escape
+    assert (xy.nfev - 2 - 3) % 12 == 0 and xy.nfev >= 2 + 12 * xy.steps + 3
     assert slope.nfev > 0 and slope.njev > 0
     assert len(orbit.eta) == 1 + xy.steps + slope.steps
 
