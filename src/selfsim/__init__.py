@@ -29,7 +29,7 @@ from selfsim.phaseplane import (
     infinity_critical_points,
     isocline,
     numerical_jacobian,
-    vector_field,
+    planar_field,
 )
 from selfsim.integrator import (
     Orbit,
@@ -86,7 +86,7 @@ __all__ = [
     "infinity_critical_points",
     "isocline",
     "numerical_jacobian",
-    "vector_field",
+    "planar_field",
     "Orbit",
     "OrbitEnd",
     "OrbitTag",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -148,10 +149,10 @@ def _cmd_find_kstar(params: ModelParams, args):
 
 
 def _k_grid(args) -> list[float]:
-    if not (args.k_min > 0.0 and args.k_max > 0.0 and args.k_count >= 1):
-        raise DomainError(
-            "the K grid needs --k-min > 0, --k-max > 0 and --k-count >= 1"
-        )
+    if not (0.0 < args.k_min < math.inf and 0.0 < args.k_max < math.inf
+            and args.k_count >= 1):
+        raise DomainError("the K grid needs finite --k-min > 0 and "
+                          "--k-max > 0, and --k-count >= 1")
     return list(np.geomspace(args.k_min, args.k_max, args.k_count))
 
 

@@ -3,9 +3,10 @@
     X' = X*(2 - (m-1)*Y)
     Y' = -m*Y^2 - (N-2)*Y + 2*X - (m-1)*X*Y - K*X^((m-p)/(m-1))
 
-obtained from the profile ODE: vector field, isocline branches, finite
-critical points P0/P1 with analytic eigen-data, and the critical points at
-infinity Q1..Q4 represented by their ray slopes Y/X.
+obtained from the profile ODE.  ``planar_field`` is the one way to evaluate
+it; the module also gives isocline branches, finite critical points P0/P1
+with analytic eigen-data (cross-checked by ``numerical_jacobian``), and the
+critical points at infinity Q1..Q4 represented by their ray slopes Y/X.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class CriticalPoint:
 
 
 def planar_field(params: ModelParams, K: float):
-    """The planar system's vector field ``field(X, Y) -> (dX, dY)``.
+    """The planar system's vector field ``field(X, Y) -> (dX, dY)``, the one
+    way to evaluate it: the orbits' X-Y phase, their resampling and
+    ``numerical_jacobian`` all build their field here.
 
     A solver may overshoot the invariant axis X = 0 by rounding; the
     fractional term then sees X clamped to 0.  At X = NaN the clamp gives
@@ -84,22 +87,6 @@ def planar_field(params: ModelParams, K: float):
         )
 
     return field
-
-
-def planar_rhs(params: ModelParams, K: float):
-    """``planar_field`` as an ODE right-hand side ``rhs(eta, (X, Y))``."""
-    field = planar_field(params, K)
-
-    def rhs(eta, y):
-        X, Y = y
-        return field(X, Y)
-
-    return rhs
-
-
-def vector_field(P: PhasePoint, params: ModelParams, K: float) -> tuple[float, float]:
-    """Right-hand side (dX, dY) of the planar system at P."""
-    return planar_field(params, K)(P.X, P.Y)
 
 
 def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
@@ -276,28 +263,21 @@ def isocline_zero_crossing(params: ModelParams, K: float) -> float:
 def numerical_jacobian(
     P: PhasePoint, params: ModelParams, K: float, h: float
 ) -> np.ndarray:
-    """Finite-difference Jacobian of the vector field at P.
+    """Finite-difference Jacobian of ``planar_field`` at P.
 
     Used to cross-check the analytic eigen-data of the finite critical
-    points.  Central differences everywhere they stay admissible; on the
-    invariant axis X = 0 the X-derivative falls back to a forward step
+    points.  Central differences wherever X - h stays admissible; on and
+    near the invariant axis X = 0 the X-derivative takes a forward step
     (the eigenvalues there live on the diagonal, which is unaffected).
     """
     if not h > 0.0:
         raise DomainError(f"h must be positive, got {h}")
-    J = np.empty((2, 2))
-    if P.X - h >= 0.0:
-        fp = vector_field(PhasePoint(P.X + h, P.Y), params, K)
-        fm = vector_field(PhasePoint(P.X - h, P.Y), params, K)
-        J[:, 0] = [(fp[0] - fm[0]) / (2.0 * h), (fp[1] - fm[1]) / (2.0 * h)]
-    else:
-        fp = vector_field(PhasePoint(P.X + h, P.Y), params, K)
-        f0 = vector_field(P, params, K)
-        J[:, 0] = [(fp[0] - f0[0]) / h, (fp[1] - f0[1]) / h]
-    fp = vector_field(PhasePoint(P.X, P.Y + h), params, K)
-    fm = vector_field(PhasePoint(P.X, P.Y - h), params, K)
-    J[:, 1] = [(fp[0] - fm[0]) / (2.0 * h), (fp[1] - fm[1]) / (2.0 * h)]
-    return J
+    field = planar_field(params, K)
+    x_lo, dx = (P.X - h, 2.0 * h) if P.X - h >= 0.0 else (P.X, h)
+    fp, fm = field(P.X + h, P.Y), field(x_lo, P.Y)
+    gp, gm = field(P.X, P.Y + h), field(P.X, P.Y - h)
+    return np.array([[(fp[0] - fm[0]) / dx, (gp[0] - gm[0]) / (2.0 * h)],
+                     [(fp[1] - fm[1]) / dx, (gp[1] - gm[1]) / (2.0 * h)]])
 
 
 def _unit(x: float, y: float) -> tuple[float, float]:

@@ -88,16 +88,14 @@ class Profile:
     stats: tuple[PhaseStats, ...] = field(default=(), compare=False)
 
 
-def _series_coeff(params: ModelParams, alpha: float) -> float:
-    return alpha * (params.m - 1.0) / (2.0 * params.m * params.N)
-
-
-def _seed(params: ModelParams, alpha: float, eps: float) -> tuple[float, float]:
-    c = _series_coeff(params, alpha)
+def _seed(params: ModelParams, alpha: float, xi):
+    """The series f = (1 + c xi^2)^(1/(m-1)), c = alpha (m-1) / (2mN), and
+    its derivative f' at xi, a float or an array."""
     m = params.m
-    base = 1.0 + c * eps * eps
+    c = alpha * (m - 1.0) / (2.0 * m * params.N)
+    base = 1.0 + c * xi * xi
     f = base ** (1.0 / (m - 1.0))
-    fp = (2.0 * c * eps / (m - 1.0)) * base ** ((2.0 - m) / (m - 1.0))
+    fp = (2.0 * c * xi / (m - 1.0)) * base ** ((2.0 - m) / (m - 1.0))
     return f, fp
 
 
@@ -177,8 +175,13 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     xi_s = xi_of_s(s)
     xi_tail, first = np.unique(xi_s, return_index=True)
     xi = np.linspace(eps, xi_h, N_UNIFORM, endpoint=False)
-    f = np.concatenate([body(xi)[0],
-                        (c * xi_tail**2 * np.exp(-s[first])) ** (1 / (m - 1))])
+    with np.errstate(over="ignore"):
+        f = np.concatenate([body(xi)[0], (c * xi_tail**2 * np.exp(-s[first]))
+                            ** (1 / (m - 1))])
+    if not np.all(np.isfinite(f)):
+        # as m -> 1 the power 1/(m-1) lifts f past the float range
+        raise ReconstructionError(
+            f"profile at K = {K:g} lies past the float range (f overflows)")
     xi = np.concatenate([xi, xi_tail])
     return Profile(
         params=params,
@@ -297,7 +300,6 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
     planar system, one evaluation of the whole batch per iteration; past
     the run, s solves ln(xi0/xi) = e^((1-q)s)/(K(q-1))."""
     m, q = params.m, params.power_ratio
-    c = _series_coeff(params, alpha)
     power = 1.0 / (m - 1.0)
     etas = tail(tail.ts)[1]
     xi_end = xi_h * math.exp(etas[-1])
@@ -306,7 +308,7 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
         out = np.zeros_like(x)
         head = x < eps
         if np.any(head):
-            out[head] = (1.0 + c * x[head] ** 2) ** power
+            out[head] = _seed(params, alpha, x[head])[0]
         mid = (x >= eps) & (x <= xi_h)
         if np.any(mid):
             out[mid] = bulk(x[mid])[0]

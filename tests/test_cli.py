@@ -155,8 +155,9 @@ def test_out_is_a_prefix(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("flags", [
     ("--k-min", "0"), ("--k-max", "-1"), ("--k-count", "-3"),
-    ("--k-count", "0"),
-], ids=["k-min-0", "k-max-negative", "k-count-negative", "k-count-0"])
+    ("--k-count", "0"), ("--k-max", "inf"),
+], ids=["k-min-0", "k-max-negative", "k-count-negative", "k-count-0",
+        "k-max-inf"])
 def test_sweep_rejects_bad_k_grid(tmp_path, capsys, monkeypatch, flags):
     def no_orbits(*args, **kwargs):
         raise AssertionError("sweep shot an orbit on an invalid K grid")
@@ -260,6 +261,19 @@ def test_find_kstar_unresolved_guard_exit_code(capsys, monkeypatch):
     assert err == "error: too many unresolved probes (3/3)\n"
 
 
+@pytest.mark.parametrize("tag, message", [
+    (OrbitTag.TO_Q3, "no Q1-connection found above K=1e-06"),
+    (OrbitTag.TO_Q1, "no Q3-connection found below K=1000000.0"),
+], ids=["all-ToQ3", "all-ToQ1"])
+def test_find_kstar_no_bracket_exit_code(capsys, monkeypatch, tag, message):
+    monkeypatch.setattr("selfsim.shooting.classify", lambda params, K: tag)
+    code, out, err = run(capsys, "find-kstar", "--m", "2", "--p", "0.5",
+                         "--N", "4")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_find_kstar_stall_exit_code(capsys, monkeypatch):
     notes = "stopped at bracket width 5.29e-06 (probe unresolved)"
     stalled = ClassificationReport(
@@ -360,6 +374,18 @@ def test_near_m_one_exits_0(tmp_path, capsys, command, m, files):
     assert len(list(tmp_path.iterdir())) == files
     if command == "classify":
         assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
+
+
+@pytest.mark.parametrize("command", ["profile", "tw"])
+def test_near_m_one_overflow_exit_code(tmp_path, capsys, command):
+    # f = (...)^(1/(m-1)) passes the float range; this once wrote inf (and
+    # for tw nan) samples and numpy's overflow warnings, and exited 0
+    code, _, err = run(capsys, command, "--m", "1.0002", "--p", "0.9998",
+                       "--N", "3", "--K", "1e-8", "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err == ("error: profile at K = 1e-08 lies past the float range "
+                   "(f overflows)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_near_m_one_is_quiet(tmp_path, capsys):

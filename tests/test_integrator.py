@@ -15,7 +15,7 @@ from selfsim.integrator import (
     orbit_monotonicity_check,
 )
 from selfsim.params import DomainError, ModelParams
-from selfsim.phaseplane import PhasePoint, planar_rhs
+from selfsim.phaseplane import PhasePoint, planar_field
 
 SUPER = ModelParams(2.0, 0.5, 4)
 CRIT = ModelParams(1.5, 0.5, 3)
@@ -175,6 +175,7 @@ def test_integrate_requires_positive_start():
 def _reference_xy(start, params, K):
     """The X-Y phase as solve_ivp's DOP853 runs it, with terminal events."""
     m = params.m
+    field = planar_field(params, K)
 
     def escape(eta, y):
         return y[0] - X_BIG
@@ -184,7 +185,7 @@ def _reference_xy(start, params, K):
 
     escape.terminal, escape.direction = True, 1.0
     plunge.terminal, plunge.direction = True, -1.0
-    return solve_ivp(planar_rhs(params, K), (0.0, integrator.ETA_MAX),
+    return solve_ivp(lambda eta, y: field(*y), (0.0, integrator.ETA_MAX),
                      [start.X, start.Y], method="DOP853",
                      rtol=integrator.REL_TOL, atol=integrator.ABS_TOL,
                      events=[escape, plunge])

@@ -15,7 +15,7 @@ from selfsim.phaseplane import (
     isocline_zero_crossing,
     launch_slope,
     numerical_jacobian,
-    vector_field,
+    planar_field,
 )
 
 SUPER = ModelParams(2.0, 0.5, 4)
@@ -24,15 +24,16 @@ SUB = ModelParams(1.2, 0.5, 3)
 
 
 def test_vector_field_fixed_points():
-    assert vector_field(PhasePoint(0.0, 0.0), SUPER, 0.1) == (0.0, 0.0)
+    field = planar_field(SUPER, 0.1)
+    assert field(0.0, 0.0) == (0.0, 0.0)
     # P1 = (0, -(N-2)/m) for N=4, m=2
-    dX, dY = vector_field(PhasePoint(0.0, -1.0), SUPER, 0.1)
+    dX, dY = field(0.0, -1.0)
     assert dX == 0.0
     assert dY == pytest.approx(0.0, abs=1e-15)
 
 
 def test_vector_field_hand_value():
-    dX, dY = vector_field(PhasePoint(1.0, 0.0), SUPER, 0.1)
+    dX, dY = planar_field(SUPER, 0.1)(1.0, 0.0)
     assert dX == pytest.approx(2.0)
     assert dY == pytest.approx(1.9)
 
@@ -94,6 +95,20 @@ def test_infinity_points_critical_slopes():
     # beyond the fold only the vertical points remain
     pts = {cp.label: cp for cp in infinity_critical_points(CRIT, 0.1)}
     assert set(pts) == {"Q2", "Q3"}
+
+
+def test_infinity_points_critical_fold():
+    # at K = (m-1)^2/4 the paper's Q1 and Q4 coalesce
+    pts = {cp.label: cp for cp in infinity_critical_points(CRIT, 0.0625)}
+    for label in ("Q1", "Q4"):
+        assert pts[label].kind is PointKind.SADDLE_NODE
+        assert pts[label].slope == -0.25
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan])
+def test_infinity_points_reject_nonpositive_k(K):
+    with pytest.raises(DomainError):
+        infinity_critical_points(SUPER, K)
 
 
 def test_infinity_points_subcritical():
@@ -184,6 +199,20 @@ def test_jacobian_eigenvalues_match_analytic(N):
 def test_jacobian_off_diagonal_at_p0():
     J = numerical_jacobian(PhasePoint(0.0, 0.0), SUPER, 0.3, h=1e-5)
     assert J[0, 1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_jacobian_central_off_axis():
+    # X - h >= 0, so the X-derivative is central: a forward step would be
+    # off by about h K q (q-1) X^(q-2) / 2 = 4e-7 in J[1, 0]
+    m, N, K, X, Y = SUPER.m, SUPER.N, 0.1, 1.0, 0.5
+    q = SUPER.power_ratio
+    J = numerical_jacobian(PhasePoint(X, Y), SUPER, K, h=1e-5)
+    analytic = [
+        [2.0 - (m - 1.0) * Y, -(m - 1.0) * X],
+        [2.0 - (m - 1.0) * Y - K * q * X ** (q - 1.0),
+         -2.0 * m * Y - (N - 2.0) - (m - 1.0) * X],
+    ]
+    np.testing.assert_allclose(J, analytic, rtol=1e-10)
 
 
 def test_jacobian_bad_step():

@@ -329,6 +329,19 @@ def test_interface_past_the_float_range_names_k(params, K):
         reconstruct(params, K)
 
 
+@pytest.mark.parametrize("params, K", [
+    (ModelParams(1.0002, 0.9998, 3), 1e-8),
+    (ModelParams(1.001, 0.999, 3), 0.125 * 0.001**2),
+    (ModelParams(1.01, 0.99, 3), 1e-8),
+])
+def test_profile_past_the_float_range_names_k(params, K):
+    # xi0 is finite, but the power 1/(m-1) lifts f past the float range;
+    # the samples once held inf
+    with pytest.raises(ReconstructionError,
+                       match=f"^profile at K = {K:g} lies past the float"):
+        reconstruct(params, K)
+
+
 def test_tail_failure_names_its_cause():
     # a step that leaves the float range reports no solver message, which
     # once printed as "(None)"

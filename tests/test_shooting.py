@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -68,7 +69,8 @@ def test_find_k_star_large_m():
 
 @pytest.mark.parametrize("params", [
     CRIT, ModelParams(1.2, 0.8, 3), ModelParams(1.3, 0.7, 1),
-], ids=["1.5-0.5-3", "1.2-0.8-3", "1.3-0.7-1"])
+    ModelParams(1.05, 0.95, 3), ModelParams(1.01, 0.99, 1),
+], ids=["1.5-0.5-3", "1.2-0.8-3", "1.3-0.7-1", "1.05-0.95-3", "1.01-0.99-1"])
 def test_find_k_star_critical_to_1e_10(params):
     # the trap above y2 and the bound to plunge decide every probe, however
     # close to (m-1)^2/4: the bisection runs to its tolerance
@@ -110,6 +112,16 @@ def test_find_k_star_stops_at_float_resolution(monkeypatch):
     assert lo < hi
     assert hi - lo < 1e-15 * lo
     assert "float resolution" in report.notes
+
+
+@pytest.mark.parametrize("K_star, message", [
+    (0.0, "no Q1-connection found above K=1e-06"),
+    (math.inf, "no Q3-connection found below K=1000000.0"),
+], ids=["all-ToQ3", "all-ToQ1"])
+def test_find_k_star_bracket_search_gives_up(monkeypatch, K_star, message):
+    monkeypatch.setattr(shooting, "classify", _step_at(K_star))
+    with pytest.raises(BracketError, match=f"^{re.escape(message)}$"):
+        find_k_star(SUPER)
 
 
 def _unresolved_up_to_one(params, K):

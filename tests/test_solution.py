@@ -96,6 +96,15 @@ def test_pde_residual_rejects_r_and_t_off_the_domain(sol_fig3a, r, t):
         pde_residual(sol_fig3a, r, t, 1e-3)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+def test_residuals_reject_nonpositive_h(sol_fig3a, h):
+    tw = to_traveling_wave(sol_fig3a)
+    with pytest.raises(DomainError):
+        pde_residual(sol_fig3a, 0.1, 0.0, h)
+    with pytest.raises(DomainError):
+        tw_residual(tw, tw.support_edge - 1.0, h)
+
+
 def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
