@@ -15,7 +15,7 @@ classification happens at escape:
 
 * an orbit plunging far below the ray Y = -(m-1)X is conclusively headed
   to the vertical stable node Q3;
-* once X exceeds ``X_BIG`` the integration switches to the slope chart
+* once X is past ``X_BIG`` and rising, the orbit switches to the slope chart
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
   of X.  The switch comes early: the -(m-1)XY term of Y' relaxes Y at a
   rate of about (m-1)X, so an explicit step in the X-Y chart shrinks like
@@ -141,13 +141,15 @@ def launch_from_p0(params: ModelParams, K: float) -> PhasePoint:
 
 
 def _rhs_slope(params: ModelParams, K: float):
-    # slope chart: u = Y/X, s = ln X; state is (u, eta)
+    """The slope chart's field ``rhs(s, (u, eta))``, u = Y/X and s = ln X;
+    the one overflow rule of the chart clamps the exponent of K e^((q-2)s)
+    at 700, as the bound stop does, so rhs returns a value at every s."""
     m, N, q = params.m, params.N, params.power_ratio
 
     def rhs(s, y):
         u = y[0]
         inv_x = math.exp(-s)
-        frac = K * math.exp((q - 2.0) * s)
+        frac = K * math.exp(min((q - 2.0) * s, 700.0))
         num = -(u * u + (m - 1.0) * u) - frac - (N * u - 2.0) * inv_x
         den = 2.0 * inv_x - (m - 1.0) * u
         if den <= 0.0:
@@ -191,8 +193,7 @@ def _stops(params: ModelParams, K: float):
         # num <= -bound, so once the bound is positive u falls at a rate
         # bounded away from 0 until it plunges: Q3.
         def bound(s, y):
-            # near m = 1, e^((q-2)s) passes the float range at a start past
-            # X_BIG; the clamp keeps the sign of the gap
+            # the clamp of _rhs_slope keeps the sign of the gap
             return (K * math.exp(min((q - 2.0) * s, 700.0)) - 0.25 * m1 * m1
                     - (2.0 + 3.0 * N * m1) * math.exp(-s))
 
@@ -275,36 +276,34 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     7th-order dense output, except that the norm does not overflow where a
     squared error estimate would (``_error_norm``).  An attempt through a
     state where K X^q passes the float range meets the field's -inf there
-    and fails the error test, as in DOP853.  The events are tested after
-    each accepted step: X rising through ``X_BIG`` is an escape,
-    Y + 3(m-1)X + 10 falling through 0, far below the Q4 ray, is a plunge.
-    Only on a step where an event occurs is the dense output built, at
-    three more evaluations; the event's root is found on it with
-    ``brentq`` and becomes the last sample, and if both events occur in
-    one step the earlier root wins.  A start already below the plunge line
-    is a plunge before the first step; failing that, a start at or past
-    ``X_BIG`` with X still rising (Y < 2/(m-1)) is an escape before the
-    first step.
+    and fails the error test, as in DOP853.  The events are tested at the
+    start and after each accepted step: X at or past ``X_BIG`` with X
+    rising (Y < 2/(m-1)) is an escape, Y + 3(m-1)X + 10 at or below 0 (far
+    below the Q4 ray) a plunge, which wins at a start.  A plunge, or an
+    escape on a step that crossed ``X_BIG``, ends at its ``brentq`` root on
+    the step's dense output, built there only, at three more evaluations;
+    the earlier event wins.  Any other escape ends at the step's end: a root
+    on Y = 2/(m-1) would leave the slope chart singular.
 
     Returns the samples (eta, X, Y) as lists, the event that ended the
     phase ("escape", "plunge" or None) and the phase's ``PhaseStats``.
     """
     field = planar_field(params, K)
-    m3 = 3.0 * (params.m - 1.0)
+    m3, y_rise = 3.0 * (params.m - 1.0), 2.0 / (params.m - 1.0)
     t_bound, rtol, atol = ETA_MAX, REL_TOL, ABS_TOL
 
-    def escape_gap(X: float, Y: float) -> float:
-        return X - X_BIG
+    def escapes(X: float, Y: float) -> bool:
+        # X rising, so the slope chart's den = (2 - (m-1)Y)/X is positive
+        return X >= X_BIG and Y < y_rise
 
     def plunge_gap(X: float, Y: float) -> float:
         return Y + m3 * X + 10.0
 
     t = 0.0
     ts, xs, ys = [t], [x], [y]
-    g_escape, g_plunge = escape_gap(x, y), plunge_gap(x, y)
-    if g_plunge < 0.0:
+    if plunge_gap(x, y) < 0.0:
         return ts, xs, ys, "plunge", PhaseStats("DOP853", 0, 0, 0, 1)
-    if g_escape >= 0.0 and y < 2.0 / (params.m - 1.0):
+    if escapes(x, y):
         return ts, xs, ys, "escape", PhaseStats("DOP853", 0, 0, 0, 1)
 
     # initial step (Hairer, Norsett & Wanner II.4), as select_initial_step
@@ -428,11 +427,12 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
             status = -1
             break
 
-        g_escape_new = escape_gap(x_new, y_new)
-        g_plunge_new = plunge_gap(x_new, y_new)
-        escaped = g_escape <= 0.0 <= g_escape_new
-        plunged = g_plunge >= 0.0 >= g_plunge_new
-        if escaped or plunged:
+        escaped = escapes(x_new, y_new)
+        plunged = plunge_gap(x_new, y_new) <= 0.0
+        roots = [(gap, name) for gap, name, hit in (
+            (lambda X, Y: X - X_BIG, "escape", escaped and x < X_BIG),
+            (plunge_gap, "plunge", plunged)) if hit]
+        if roots:
             at = _dense(field, t, h, x, y, x_new, y_new,
                         [fx, k1x, k2x, k3x, k4x, k5x, k6x, k7x, k8x, k9x,
                          k10x, k11x, k12x],
@@ -442,16 +442,14 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
             t_new, event = min(
                 (brentq(lambda s, gap=gap: gap(*at(s)), t, t_new,
                         xtol=4.0 * _EPS, rtol=4.0 * _EPS), name)
-                for gap, name, hit in ((escape_gap, "escape", escaped),
-                                       (plunge_gap, "plunge", plunged))
-                if hit
-            )
+                for gap, name in roots)
             x_new, y_new = at(t_new)
             status = 1
+        elif escaped:
+            event, status = "escape", 1
         elif t_new >= t_bound:
             status = 0
         t, x, y, fx, fy = t_new, x_new, y_new, k12x, k12y
-        g_escape, g_plunge = g_escape_new, g_plunge_new
         ts.append(t)
         xs.append(x)
         ys.append(y)
@@ -464,14 +462,12 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     """Carry an escaped orbit in the slope chart (u, s) = (Y/X, ln X).
 
     The stops are tested at the start (s0, u0) first, and a start at or past
-    the ln X cap ends ``Unresolved``; neither runs a step.  Otherwise LSODA
+    ``LN_X_CAP`` ends ``Unresolved``; neither runs a step.  Otherwise LSODA
     runs from there with the stops as terminal events until one fires, s
-    reaches the cap or the step size stalls.  Returns the samples (eta, X,
-    Y) after the start as arrays, the orbit's ``OrbitEnd`` and the phase's
-    ``PhaseStats``.
+    reaches ``LN_X_CAP``, the one bound on every run, or the step size
+    stalls.  Returns the samples (eta, X, Y) after the start as arrays, the
+    orbit's ``OrbitEnd`` and the phase's ``PhaseStats``.
     """
-    q = params.power_ratio
-    s_cap = LN_X_CAP if q <= 2.0 else min(LN_X_CAP, 690.0 / (q - 2.0))
     stops = _stops(params, K)
     rhs = _rhs_slope(params, K)
 
@@ -479,19 +475,18 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
         # a start on a stop's boundary (gap exactly 0) is decided here, as
         # LSODA cannot bracket a crossing at its first point: the flow enters
         # every stop but the plunge there (see _stops), and the plunge where
-        # u falls; below the cap, rhs does not overflow
+        # u falls
         g = gap(s0, (u0,))
-        return g > 0.0 or g == 0.0 and (
-            i > 0 or s0 < s_cap and rhs(s0, (u0, eta0))[0] < 0.0)
+        return g > 0.0 or g == 0.0 and (i > 0 or rhs(s0, (u0, eta0))[0] < 0.0)
 
     held = next(((tag, diag.format(s0))
                  for i, (gap, tag, diag) in enumerate(stops) if holds(i, gap)),
                 None)
-    if held is not None or s0 >= s_cap:
+    if held is not None or s0 >= LN_X_CAP:
         # the slope chart runs up to the cap only; LSODA would run backwards
         tag, diag = held or (OrbitTag.UNRESOLVED,
                              f"start at ln X = {s0:.1f} is past the ln X cap "
-                             f"{s_cap:.1f}")
+                             f"{LN_X_CAP:.1f}")
         return ((np.empty(0),) * 3, OrbitEnd(tag, u0, diag),
                 PhaseStats("LSODA", 0, 0, 0, int(held is not None)))
 
@@ -499,7 +494,7 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     # exponentially in s: stiff, so use an implicit-capable method here
     sol = solve_ivp(
         rhs,
-        (s0, s_cap),
+        (s0, LN_X_CAP),
         [u0, eta0],
         method="LSODA",
         rtol=REL_TOL,

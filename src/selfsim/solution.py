@@ -19,7 +19,7 @@ from scipy.integrate import cubature
 from scipy.special import gamma as gamma_fn
 
 from selfsim.params import DomainError, ModelParams
-from selfsim.profile import Profile, evaluate_f
+from selfsim.profile import Profile, ReconstructionError, evaluate_f
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,17 @@ TW_POINTS = 2001
 
 
 def to_traveling_wave(sol: EternalSolution) -> TravelingWave:
-    """Map the eternal solution to its traveling wave, speed c = beta."""
+    """Map the eternal solution to its traveling wave, speed c = beta;
+    raises ``ReconstructionError`` where F passes the float range."""
     profile = sol.profile
     z_lo = math.log(profile.xi[0])
     z_hi = math.log(profile.xi0)
     z = np.linspace(z_lo, z_hi + 0.1 * (z_hi - z_lo), TW_POINTS)
-    F = tw_value_on(profile, z)
+    with np.errstate(over="ignore"):
+        F = tw_value_on(profile, z)
+    if not np.all(np.isfinite(F)):
+        raise ReconstructionError(f"traveling wave at alpha = {sol.alpha:g} "
+                                  "lies past the float range (F overflows)")
     return TravelingWave(c=sol.beta, z_grid=z, F=F, profile=profile)
 
 

@@ -376,6 +376,17 @@ def test_near_m_one_exits_0(tmp_path, capsys, command, m, files):
         assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
 
 
+def test_tw_past_the_float_range_exit_code(tmp_path, capsys):
+    # the profile is finite here but F is not; this once wrote 649 inf
+    # values of F with numpy's overflow warning, and exited 0
+    code, _, err = run(capsys, "tw", "--m", "1.01", "--p", "0.99", "--N", "3",
+                       "--K", "6.25e-6", "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err == ("error: traveling wave at alpha = 803.99 lies past the "
+                   "float range (F overflows)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["profile", "tw"])
 def test_near_m_one_overflow_exit_code(tmp_path, capsys, command):
     # f = (...)^(1/(m-1)) passes the float range; this once wrote inf (and

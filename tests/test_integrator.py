@@ -280,6 +280,109 @@ def test_start_past_x_big_escapes_at_once(monkeypatch):
     assert orbit.stats[1].method == "LSODA"
 
 
+#: X-Y field evaluations an orbit may make under the xy_budget fixture
+XY_BUDGET = 200_000
+
+
+@pytest.fixture
+def xy_budget(monkeypatch):
+    """Make each orbit's field raise after ``XY_BUDGET`` evaluations, so that
+    an orbit which would run on fails its test instead."""
+    def budgeted(params, K):
+        field, count = planar_field(params, K), 0
+
+        def counted(X, Y):
+            nonlocal count
+            count += 1
+            if count > XY_BUDGET:
+                raise RuntimeError(f"X-Y budget spent at {params}, K = {K}")
+            return field(X, Y)
+
+        return counted
+
+    monkeypatch.setattr(integrator, "planar_field", budgeted)
+
+
+@pytest.mark.parametrize("start, params, K, nfev, steps, ln_x", [
+    (PhasePoint(200.0, 5.0), ModelParams(2.04, 0.24, 4), 1.7e-4, 170, 12,
+     "5.3"),
+    (PhasePoint(1e3, 10.0), SUPER, 0.1, 74, 5, "6.9"),
+    (PhasePoint(1e4, 1e3), ModelParams(3.0, 0.5, 3), 1.0, 278, 21, "9.1"),
+], ids=["m2.04", "m2", "m3"])
+def test_start_past_x_big_with_x_falling_escapes(start, params, K, nfev,
+                                                 steps, ln_x, xy_budget):
+    # X falls at these starts (Y >= 2/(m-1)); the escape test once saw only
+    # a crossing of X_BIG from below, and the stiff X-Y phase ran on for
+    # millions of evaluations.  The escape here comes once Y falls below
+    # 2/(m-1), at the end of that step, so no dense output is built
+    orbit = integrate(start, params, K)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q1
+    assert end.diagnostics == (
+        f"trapped above the slope -(m-1)/2 at ln X = {ln_x}")
+    xy = orbit.stats[0]
+    assert (xy.nfev, xy.steps, xy.status) == (nfev, steps, 1)
+    assert (xy.nfev - 2) % 12 == 0
+    assert orbit.X[steps] >= X_BIG
+    assert orbit.Y[steps] < 2.0 / (params.m - 1.0)
+
+
+def test_start_past_x_big_with_x_falling_can_plunge_in_the_slope_chart():
+    # this orbit once plunged in the X-Y chart after 65 steps
+    orbit = integrate(PhasePoint(150.0, 3.0), SUPER, 8.0)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics == "plunged below the Q4 ray (slope chart)"
+    assert orbit.stats[0].steps == 1
+
+
+def test_every_start_returns_after_bounded_work(xy_budget):
+    # starts drawn over the CLI's domain; 28 of these once ran for seconds
+    # without returning, all past X_BIG with X falling
+    rng = np.random.default_rng(0)
+    falling = 0
+    for _ in range(450):
+        params = ModelParams(10.0 ** rng.uniform(0.01, 0.8),
+                             rng.uniform(0.05, 0.95),
+                             int(rng.choice([1, 2, 3, 4, 7])))
+        K = 10.0 ** rng.uniform(-4.0, 4.0)
+        X = 10.0 ** rng.uniform(-6.0, 8.0)
+        Y = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 8.0)
+        falling += X >= X_BIG and Y >= 2.0 / (params.m - 1.0)
+        orbit = integrate(PhasePoint(X, Y), params, K)
+        assert orbit.termination.tag in (OrbitTag.TO_Q1, OrbitTag.TO_Q3)
+        assert orbit.stats[0].nfev < XY_BUDGET
+    assert falling == 41
+
+
+def test_slope_chart_field_does_not_overflow():
+    # q = 5: e^((q-2)s) passes the float range at s = 236.6; the exponent
+    # is clamped at 700, as in the bound to plunge
+    du, deta = _rhs_slope(ModelParams(1.05, 0.8, 3), 1.0)(300.0, (-0.01, 0.0))
+    assert np.isfinite(du) and np.isfinite(deta)
+    assert du < 0.0
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1.2, 0.5, 1), ModelParams(1.2, 0.5, 3),
+    ModelParams(1.05, 0.8, 3),
+], ids=["m1.2-N1", "m1.2-N3", "m1.05"])
+def test_slope_chart_ends_by_a_stop_where_the_cap_once_fell_with_q(params):
+    # q = 7.5 and 5: the slope chart once ran only to ln X = 690/(q-2), so
+    # that K e^((q-2)s) stayed in the float range; the clamp in _rhs_slope
+    # lets every run go to LN_X_CAP, and each stop fires well before either
+    want = {
+        (1.2, 1): ["10.7", "7.7", "6.4", "5.2"],
+        (1.2, 3): ["10.8", "7.8", "6.5", "5.3"],
+        (1.05, 3): ["5.4", None, None, None],
+    }[params.m, params.N]
+    for K, ln_x in zip((1e-9, 1e-7, 1e-6, 1e-5), want):
+        end = integrate_from_p0(params, K).termination
+        assert end.tag is OrbitTag.TO_Q3
+        assert end.diagnostics == (f"bound to plunge at ln X = {ln_x}" if ln_x
+                                   else "plunged below the Q4 ray")
+
+
 @pytest.mark.parametrize("m, start, tag, samples", [
     # the norm of the first slope overflows: the first trial step is the
     # minimum, where scipy's error norm squares an error estimate of about

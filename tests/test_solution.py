@@ -12,7 +12,7 @@ from selfsim.params import (
     alpha_star_critical,
 )
 from selfsim import solution
-from selfsim.profile import reconstruct
+from selfsim.profile import ReconstructionError, reconstruct
 from selfsim.solution import (
     _masses,
     convection_coefficient,
@@ -236,3 +236,18 @@ def test_tw_value_transform(sol_fig3a):
     z = math.log(0.3 * prof.xi0)
     expected = math.exp(-gamma * z) * evaluate_u(sol_fig3a, 0.3 * prof.xi0, 0.0)
     assert tw_value_on(prof, z) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [6.25e-6, 1.25e-5])
+def test_traveling_wave_past_the_float_range_raises(K):
+    # near m = 1 the profile is finite, but e^(-2z/(m-1)) f(e^z) passes the
+    # float range at the left end of the z-grid; this once returned inf
+    # values of F with numpy's overflow warning
+    prof = reconstruct(ModelParams(1.01, 0.99, 3), K)
+    assert np.all(np.isfinite(prof.f))
+    sol = make_solution(prof)
+    with pytest.raises(
+            ReconstructionError, match=f"alpha = {sol.alpha:g} lies past the "
+            r"float range \(F overflows\)"):
+        to_traveling_wave(sol)
