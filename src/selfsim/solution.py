@@ -37,7 +37,7 @@ def make_solution(profile: Profile) -> EternalSolution:
 def evaluate_u(sol: EternalSolution, r, t):
     """u(r, t) = exp(alpha*t) * f(r * exp(-beta*t)); 0 beyond the interface.
 
-    r and t broadcast against each other.
+    r >= 0 and t broadcast against each other.
     """
     t = np.asarray(t, dtype=float)
     xi = np.asarray(r, dtype=float) * np.exp(-sol.beta * t)

@@ -155,6 +155,37 @@ def test_ode_residual_interior(prof_fig3a):
     assert worst < 1e-6
 
 
+def _two_solve_residual(prof, i):
+    """The ODE residual with f^m and f each fitted by its own solve."""
+    params = prof.params
+    half = 2 if 2 <= i <= len(prof.xi) - 3 else 1
+    x, f = prof.xi[i - half:i + half + 1], prof.f[i - half:i + half + 1]
+    A = np.vander(x - prof.xi[i], increasing=True)
+    w, g = np.linalg.solve(A, f**params.m), np.linalg.solve(A, f)
+    x1, f1 = prof.xi[i], prof.f[i]
+    return abs(2.0 * w[2] + (params.N - 1.0) / x1 * w[1] - prof.alpha * f1
+               + prof.beta * x1 * g[1] + x1**params.sigma * f1**params.p)
+
+
+@pytest.mark.parametrize("params, K", [
+    (SUPER, 0.5 * K_STAR_SUPER), (SUPER, K_STAR_SUPER),
+    (SUPER, 4.0 * K_STAR_SUPER), (SUPER, 0.3),
+    (ModelParams(3.0, 0.5, 3), K_STAR_M3),
+    (ModelParams(3.0, 0.5, 3), 4.0 * K_STAR_M3),
+    (ModelParams(5.0, 0.9, 3), 26.33),
+])
+def test_ode_residual_matches_two_solves(params, K):
+    # one solve with two right-hand sides rounds differently from two
+    # solves; on the benchmark's stride the two stay within 1e-7, scaled,
+    # against residuals up to 1.4e-6 and the benchmark's bound of 1e-5
+    prof = reconstruct(params, K)
+    for i in range(1, len(prof.xi) - 1, 97):
+        if prof.xi[1] < prof.xi[i] < 0.99 * prof.xi0:
+            scale = max(1.0, abs(prof.alpha * prof.f[i]))
+            got, want = ode_residual(prof, i), _two_solve_residual(prof, i)
+            assert abs(got - want) <= 1e-7 * scale
+
+
 def test_ode_residual_index_bounds(prof_fig3a):
     with pytest.raises(DomainError):
         ode_residual(prof_fig3a, 0)
@@ -193,15 +224,37 @@ def test_evaluate_f_piecewise(prof_fig3a):
     assert np.allclose(vals, prof.f[::500], rtol=1e-9)
 
 
+def test_evaluate_f_domain(prof_fig3a):
+    # the series seed once answered far outside its range: 19.3 at xi = -5,
+    # against 6.95 at xi = 5; NaN gave 0
+    with pytest.raises(DomainError, match=r"got -5\.0$"):
+        evaluate_f(prof_fig3a, -5.0)
+    with pytest.raises(DomainError, match=r"got nan$"):
+        evaluate_f(prof_fig3a, math.nan)
+    # the first offending value of a batch is named
+    with pytest.raises(DomainError, match=r"got -2\.0$"):
+        evaluate_f(prof_fig3a, np.array([1.0, -2.0, math.nan, -3.0]))
+    # +inf lies past the interface
+    assert evaluate_f(prof_fig3a, math.inf) == 0.0
+    assert np.array_equal(evaluate_f(prof_fig3a, np.array([0.0, math.inf])),
+                          [evaluate_f(prof_fig3a, 0.0), 0.0])
+
+
 def _reconstruct_recording(monkeypatch, params, K):
     """reconstruct, with the (ts, steps) and the evaluator of each of its
-    two LSODA runs: the bulk, then the tail."""
+    two LSODA runs: the bulk, then the tail.  Each evaluator records the
+    points of every call in ``calls``."""
     runs = []
 
     class Recording(profile_module._DenseRun):
         def __init__(self, ts, steps):
             super().__init__(ts, steps)
+            self.calls = []
             runs.append((list(ts), list(steps), self))
+
+        def __call__(self, x):
+            self.calls.append(np.array(x))
+            return super().__call__(x)
 
     monkeypatch.setattr(profile_module, "_DenseRun", Recording)
     return reconstruct(params, K), runs
@@ -245,7 +298,39 @@ def test_array_evaluation_matches_scalar_calls(monkeypatch):
     for p, xs in ((prof, x), (rescale(prof, 3.0), x / 3.0)):
         scalars = np.array([evaluate_f(p, float(v)) for v in xs])
         assert np.all(scalars[:-3] > 0.0) and np.all(scalars[-3:] == 0.0)
-        assert np.allclose(evaluate_f(p, xs), scalars, rtol=1e-14, atol=0.0)
+        assert np.array_equal(evaluate_f(p, xs), scalars)
+
+
+@pytest.mark.parametrize("params, K", [(SUPER, K_STAR_SUPER),
+                                       (ModelParams(3.0, 0.5, 3),
+                                        0.5 * K_STAR_M3)])
+def test_tail_value_depends_on_its_point_alone(monkeypatch, params, K):
+    # each tail point inverts eta(s) on its own: while the batch iterated
+    # until all its points converged, 116 and 15 of these 400 points came
+    # out different from their scalar calls, by up to 4e-12 relative
+    prof, ((bulk_ts, _, _), _) = _reconstruct_recording(monkeypatch, params, K)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(bulk_ts[-1], 1.01 * prof.xi0, 400)
+    scalars = np.array([evaluate_f(prof, float(v)) for v in x])
+    assert np.count_nonzero(scalars) > 200
+    assert np.array_equal(evaluate_f(prof, x), scalars)
+
+
+def test_points_past_the_run_skip_the_newton_loop(monkeypatch):
+    # past the tail run's end, s is the type II closed form: no point there
+    # evaluates the run
+    prof, runs = _reconstruct_recording(monkeypatch, ModelParams(3.0, 0.5, 3),
+                                        0.5 * K_STAR_M3)
+    (bulk_ts, _, _), (_, _, tail) = runs
+    xi_run_end = bulk_ts[-1] * math.exp(tail(tail.ts[-1:])[1, 0])
+    x = np.linspace(xi_run_end, prof.xi[-1], 50)[1:]
+    tail.calls.clear()
+    assert np.all(evaluate_f(prof, x) > 0.0)
+    assert tail.calls == []
+    # a point on the run makes one call per Newton iteration, on itself only
+    evaluate_f(prof, np.concatenate([x, [0.5 * (bulk_ts[-1] + xi_run_end)]]))
+    assert 1 <= len(tail.calls) <= profile_module.INVERT_ITERATIONS
+    assert all(len(call) == 1 for call in tail.calls)
 
 
 def test_rescale_identity(prof_mid):

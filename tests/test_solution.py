@@ -42,6 +42,19 @@ def test_normalization(sol_fig3a):
     assert evaluate_u(sol_fig3a, 0.0, 0.0) == pytest.approx(1.0)
 
 
+def test_negative_or_nan_radius_is_rejected(sol_fig3a):
+    # r = -3 once read f at xi = -3, through the series seed far outside
+    # its range: 7.58, against 3.93 at r = 3
+    with pytest.raises(DomainError, match=r"got -3\.0$"):
+        evaluate_u(sol_fig3a, -3.0, 0.0)
+    with pytest.raises(DomainError, match=r"got nan$"):
+        evaluate_u(sol_fig3a, math.nan, 0.0)
+    with pytest.raises(DomainError, match=r"got -1\.0$"):
+        evaluate_u(sol_fig3a, np.array([2.0, -1.0]), np.array([[0.0], [0.1]]))
+    # +inf lies past the interface at every t
+    assert evaluate_u(sol_fig3a, math.inf, 0.3) == 0.0
+
+
 def test_interface_advects(sol_fig3a):
     xi0 = sol_fig3a.profile.xi0
     for t in (-0.5, 0.0, 0.7):
