@@ -4,30 +4,34 @@ Orbits of the planar system, whose one vector field is
 ``phaseplane.planar_field``, are advanced in the autonomous time eta by an
 in-module scalar DOP853 step, its twelve stages written out as float
 arithmetic over that field: the method, tableau, initial step, error norm
-and step-size controller of scipy's DOP853, step for step, with the escape
-and plunge events tested as two scalars after each accepted step instead
-of through ``solve_ivp``'s per-step event machinery.  Its 8th-order step
-meets ``REL_TOL`` in about a fifth of the steps of a 5(4) pair, at twice
-the evaluations per step; the dense output is built only on the step where
-an event occurs.
-The free boundary of the profile is only reached as X -> infinity, so
-classification happens at escape:
+and step-size controller of scipy's DOP853, step for step, with its events
+tested as scalars after each accepted step instead of through
+``solve_ivp``'s per-step event machinery.  Its 8th-order step meets
+``REL_TOL`` in about a fifth of the steps of a 5(4) pair, at twice the
+evaluations per step; the dense output is built only on the step where an
+event occurs.
+The free boundary of the profile is only reached as X -> infinity, so an
+orbit is classified once a proven stop (``_stops``) holds: a region that,
+once entered, the orbit never leaves and that leads to one endpoint.
 
 * an orbit plunging far below the ray Y = -(m-1)X is conclusively headed
   to the vertical stable node Q3;
+* the supercritical trap and the bound to plunge hold at any X, so the X-Y
+  phase tests them at (ln X, Y/X) from the start, wherever X is rising, and
+  an orbit whose fate they prove ends there;
 * once X is past ``X_BIG`` and rising, the orbit switches to the slope chart
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
   of X.  The switch comes early: the -(m-1)XY term of Y' relaxes Y at a
   rate of about (m-1)X, so an explicit step in the X-Y chart shrinks like
   1/((m-1)X), while LSODA takes the slope chart's stiffness in stride;
-* there every tag comes from a proven stop (``_stops``): a region of the
-  chart that, once entered, the orbit never leaves and that leads to one
-  endpoint; an orbit that meets none by the ln X cap is ``Unresolved``.
+* there every tag comes from a stop, the critical trap above the Q4 slope
+  among them; an orbit that meets none by the ln X cap is ``Unresolved``.
 
 ``integrate`` maps the way the X-Y phase ended (a nonfinite state, a
-plunge, the eta budget or the step-size floor) to an ``OrbitEnd``, or hands
-an escape to ``_slope_phase``, which returns the slope chart's samples and
-``OrbitEnd``; it builds the ``Orbit`` once, from whichever ended it.
+plunge, a stop, the eta budget or the step-size floor) to an ``OrbitEnd``,
+or hands an escape to ``_slope_phase``, which returns the slope chart's
+samples and ``OrbitEnd``; it builds the ``Orbit`` once, from whichever
+ended it.
 """
 
 from __future__ import annotations
@@ -170,6 +174,12 @@ def _stops(params: ModelParams, K: float):
     ``diagnostics`` is formatted with the ln X where the stop fired.  With
     num = -u^2 - (m-1)u - K e^((q-2)s) - (Nu - 2)e^(-s) and
     den = 2e^(-s) - (m-1)u > 0, du/ds = num/den.
+
+    The first stop is the plunge and the second the trap (m + p > 2) or the
+    bound to plunge (m + p <= 2); the critical regime adds a third.  The
+    proofs of the trap and the bound use no bound on s, so the X-Y phase
+    tests the second stop too, at (s, u) = (ln X, Y/X) wherever X is rising
+    (den > 0).  Neither gap overflows at any finite s.
     """
     m1, N, q = params.m - 1.0, params.N, params.power_ratio
     reg = regime(params)
@@ -182,9 +192,12 @@ def _stops(params: ModelParams, K: float):
         # q < 2: the K term falls with s.  Once it is below (m-1)^2/4 with u
         # above -(m-1)/2, du/ds > 0 on u = -(m-1)/2 and du/ds < 0 where the
         # chart ends (den = 0), so u can never reach the plunge line: Q1.
+        # The K term is below (m-1)^2/4 past ln X = ln(4K/(m-1)^2)/(2-q),
+        # taken in logs so that no power overflows
+        ln_x_trap = (math.log(4.0 * K) - 2.0 * math.log(m1)) / (2.0 - q)
+
         def trapped(s, y):
-            return min(y[0] + 0.5 * m1,
-                       0.25 * m1 * m1 - K * math.exp((q - 2.0) * s))
+            return min(y[0] + 0.5 * m1, s - ln_x_trap)
 
         stops.append((trapped, OrbitTag.TO_Q1,
                        "trapped above the slope -(m-1)/2 at ln X = {:.1f}"))
@@ -193,7 +206,11 @@ def _stops(params: ModelParams, K: float):
         # num <= -bound, so once the bound is positive u falls at a rate
         # bounded away from 0 until it plunges: Q3.
         def bound(s, y):
-            # the clamp of _rhs_slope keeps the sign of the gap
+            # the clamp of _rhs_slope keeps the sign of the gap; below
+            # ln X = -700, where e^(-s) nears the float range, no stop is
+            # claimed
+            if s < -700.0:
+                return -math.inf
             return (K * math.exp(min((q - 2.0) * s, 700.0)) - 0.25 * m1 * m1
                     - (2.0 + 3.0 * N * m1) * math.exp(-s))
 
@@ -212,6 +229,11 @@ def _stops(params: ModelParams, K: float):
     for gap, _, _ in stops:
         gap.terminal, gap.direction = True, 1.0
     return stops
+
+
+def _no_stop(s: float, y) -> float:
+    """A stop gap that never holds, for an X-Y phase without a stop."""
+    return -math.inf
 
 
 def _rms(a: float, b: float) -> float:
@@ -268,7 +290,7 @@ def _dense(field, t_old: float, h: float, x_old: float, y_old: float,
     return at
 
 
-def _xy_phase(params: ModelParams, K: float, x: float, y: float):
+def _xy_phase(params: ModelParams, K: float, x: float, y: float, gap):
     """Step the planar system from (x, y) until an event or ``ETA_MAX``.
 
     This is scipy's DOP853 on Python floats (K, x and y must be floats): the
@@ -279,14 +301,18 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     and fails the error test, as in DOP853.  The events are tested at the
     start and after each accepted step: X at or past ``X_BIG`` with X
     rising (Y < 2/(m-1)) is an escape, Y + 3(m-1)X + 10 at or below 0 (far
-    below the Q4 ray) a plunge, which wins at a start.  A plunge, or an
-    escape on a step that crossed ``X_BIG``, ends at its ``brentq`` root on
-    the step's dense output, built there only, at three more evaluations;
-    the earlier event wins.  Any other escape ends at the step's end: a root
-    on Y = 2/(m-1) would leave the slope chart singular.
+    below the Q4 ray) a plunge, and the slope-chart stop ``gap`` (the trap
+    or the bound of ``_stops``) at or above 0 at (ln X, Y/X), with X rising,
+    a stop.  At a start the plunge wins, then the stop.  A plunge, an escape
+    on a step that crossed ``X_BIG``, or a stop on a step that began with X
+    rising, ends at its ``brentq`` root on the step's dense output, built
+    there only, at three more evaluations; the earliest event wins.  Any
+    other stop or escape ends at the step's end, the stop first: a root on
+    Y = 2/(m-1) would leave the slope chart singular.
 
     Returns the samples (eta, X, Y) as lists, the event that ended the
-    phase ("escape", "plunge" or None) and the phase's ``PhaseStats``.
+    phase ("escape", "plunge", "stop" or None) and the phase's
+    ``PhaseStats``.
     """
     field = planar_field(params, K)
     m3, y_rise = 3.0 * (params.m - 1.0), 2.0 / (params.m - 1.0)
@@ -299,12 +325,19 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
     def plunge_gap(X: float, Y: float) -> float:
         return Y + m3 * X + 10.0
 
+    def stop_gap(X: float, Y: float) -> float:
+        # the stop's proof needs X rising; elsewhere it is not tested
+        if 0.0 < X < math.inf and -math.inf < Y < y_rise:
+            return gap(math.log(X), (Y / X,))
+        return -math.inf
+
     t = 0.0
     ts, xs, ys = [t], [x], [y]
-    if plunge_gap(x, y) < 0.0:
-        return ts, xs, ys, "plunge", PhaseStats("DOP853", 0, 0, 0, 1)
-    if escapes(x, y):
-        return ts, xs, ys, "escape", PhaseStats("DOP853", 0, 0, 0, 1)
+    g = stop_gap(x, y)
+    for event, hit in (("plunge", plunge_gap(x, y) < 0.0), ("stop", g >= 0.0),
+                       ("escape", escapes(x, y))):
+        if hit:
+            return ts, xs, ys, event, PhaseStats("DOP853", 0, 0, 0, 1)
 
     # initial step (Hairer, Norsett & Wanner II.4), as select_initial_step
     fx, fy = field(x, y)
@@ -429,9 +462,13 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
 
         escaped = escapes(x_new, y_new)
         plunged = plunge_gap(x_new, y_new) <= 0.0
-        roots = [(gap, name) for gap, name, hit in (
+        # g at the step's start is negative, or -inf where X was not rising
+        g_old, g = g, stop_gap(x_new, y_new)
+        stopped = g >= 0.0
+        roots = [(f, name) for f, name, hit in (
             (lambda X, Y: X - X_BIG, "escape", escaped and x < X_BIG),
-            (plunge_gap, "plunge", plunged)) if hit]
+            (plunge_gap, "plunge", plunged),
+            (stop_gap, "stop", stopped and g_old > -math.inf)) if hit]
         if roots:
             at = _dense(field, t, h, x, y, x_new, y_new,
                         [fx, k1x, k2x, k3x, k4x, k5x, k6x, k7x, k8x, k9x,
@@ -440,11 +477,13 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
                          k10y, k11y, k12y])
             nfev += 3
             t_new, event = min(
-                (brentq(lambda s, gap=gap: gap(*at(s)), t, t_new,
+                (brentq(lambda s, f=f: f(*at(s)), t, t_new,
                         xtol=4.0 * _EPS, rtol=4.0 * _EPS), name)
-                for gap, name in roots)
+                for f, name in roots)
             x_new, y_new = at(t_new)
             status = 1
+        elif stopped:
+            event, status = "stop", 1
         elif escaped:
             event, status = "escape", 1
         elif t_new >= t_bound:
@@ -458,7 +497,7 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float):
 
 
 def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
-                 eta0: float):
+                 eta0: float, stops):
     """Carry an escaped orbit in the slope chart (u, s) = (Y/X, ln X).
 
     The stops are tested at the start (s0, u0) first, and a start at or past
@@ -466,9 +505,9 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     runs from there with the stops as terminal events until one fires, s
     reaches ``LN_X_CAP``, the one bound on every run, or the step size
     stalls.  Returns the samples (eta, X, Y) after the start as arrays, the
-    orbit's ``OrbitEnd`` and the phase's ``PhaseStats``.
+    orbit's ``OrbitEnd`` and the phase's ``PhaseStats``; ``stops`` are
+    ``_stops(params, K)``.
     """
-    stops = _stops(params, K)
     rhs = _rhs_slope(params, K)
 
     def holds(i, gap):
@@ -535,8 +574,9 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
     # one arithmetic on every route: numpy scalars become Python floats
     K = float(K)
 
+    stops = _stops(params, K)
     eta, X, Y, event, xy_stats = _xy_phase(params, K, float(start.X),
-                                            float(start.Y))
+                                            float(start.Y), stops[1][0])
     eta, X, Y = np.array(eta), np.array(X), np.array(Y)
     stats = (xy_stats,)
     # the start is finite, so a finite sample is left
@@ -548,13 +588,16 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
                        "nonfinite state during integration")
     elif event == "plunge":
         end = OrbitEnd(OrbitTag.TO_Q3, slope, "plunged below the Q4 ray")
+    elif event == "stop":
+        _, tag, diag = stops[1]
+        end = OrbitEnd(tag, slope, diag.format(math.log(X[-1])))
     elif event is None:
         reason = ("X-Y step size fell below its minimum" if xy_stats.status == -1
                   else "eta budget exhausted")
         end = OrbitEnd(OrbitTag.UNRESOLVED, slope, f"{reason} at X={X[-1]:.3g}")
     else:
         (eta2, X2, Y2), end, slope_stats = _slope_phase(
-            params, K, math.log(X[-1]), slope, eta[-1])
+            params, K, math.log(X[-1]), slope, eta[-1], stops)
         eta, X, Y = (np.concatenate(pair) for pair in
                      ((eta, eta2), (X, X2), (Y, Y2)))
         stats += (slope_stats,)
@@ -593,18 +636,25 @@ def _resample(params: ModelParams, K: float, X: np.ndarray, Y: np.ndarray,
 def orbit_monotonicity_check(params: ModelParams, K1: float, K2: float) -> bool:
     """Check that the P0-orbit moves down pointwise as K increases.
 
-    Both orbits are resampled as Y(X) (``_resample``) on a shared
-    logarithmic X-grid below the line Y = 2/(m-1); returns True iff Y_{K2}(X) < Y_{K1}(X) on every
-    grid point.
+    Both orbits are run in the X-Y phase alone, without the trap or the
+    bound, to their escape or plunge, and resampled as Y(X)
+    (``_resample``) on a shared logarithmic X-grid below the line
+    Y = 2/(m-1) and ``X_BIG``; returns True iff Y_{K2}(X) < Y_{K1}(X) on
+    every grid point.
     """
     if not 0.0 < K1 < K2:
         raise DomainError("need 0 < K1 < K2")
-    orbits = [integrate_from_p0(params, k) for k in (K1, K2)]
     cap = 2.0 / (params.m - 1.0)
     xs, ys = [], []
-    for orb in orbits:
-        mask = orb.Y < cap
-        x, y = orb.X[mask], orb.Y[mask]
+    for k in (K1, K2):
+        # the X-Y phase with no stop, up to X_BIG: a trap or bound proven
+        # earlier would cut the range the orbits are compared on
+        start = launch_from_p0(params, k)
+        _, x, y, _, _ = _xy_phase(params, float(k), float(start.X),
+                                  float(start.Y), _no_stop)
+        x, y = np.array(x), np.array(y)
+        mask = y < cap
+        x, y = x[mask], y[mask]
         keep = np.isfinite(x) & np.isfinite(y)
         xs.append(x[keep])
         ys.append(y[keep])

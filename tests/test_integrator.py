@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
@@ -5,6 +7,7 @@ from scipy.integrate import DOP853, solve_ivp
 from selfsim import integrator
 from selfsim.integrator import (
     X_BIG,
+    OrbitEnd,
     OrbitTag,
     PhaseStats,
     _resample,
@@ -173,9 +176,12 @@ def test_integrate_requires_positive_start():
 
 
 def _reference_xy(start, params, K):
-    """The X-Y phase as solve_ivp's DOP853 runs it, with terminal events."""
+    """The X-Y phase as solve_ivp's DOP853 runs it, with terminal events:
+    the escape, the plunge and the slope chart's trap or bound to plunge,
+    taken at (ln X, Y/X) where X is rising."""
     m = params.m
     field = planar_field(params, K)
+    gap = integrator._stops(params, K)[1][0]
 
     def escape(eta, y):
         return y[0] - X_BIG
@@ -183,35 +189,55 @@ def _reference_xy(start, params, K):
     def plunge(eta, y):
         return y[1] + 3.0 * (m - 1.0) * y[0] + 10.0
 
+    def stop(eta, y):
+        X, Y = y
+        if 0.0 < X < math.inf and -math.inf < Y < 2.0 / (m - 1.0):
+            return gap(math.log(X), (Y / X,))
+        return -math.inf
+
     escape.terminal, escape.direction = True, 1.0
     plunge.terminal, plunge.direction = True, -1.0
+    stop.terminal, stop.direction = True, 1.0
     return solve_ivp(lambda eta, y: field(*y), (0.0, integrator.ETA_MAX),
                      [start.X, start.Y], method="DOP853",
                      rtol=integrator.REL_TOL, atol=integrator.ABS_TOL,
-                     events=[escape, plunge])
+                     events=[escape, plunge, stop])
+
+
+def _without_xy_stop(monkeypatch):
+    """Run the X-Y phase without the slope chart's trap or bound, as it ran
+    before it tested them: escape and plunge only."""
+    xy_phase = integrator._xy_phase
+
+    def no_stop(params, K, x, y, gap):
+        return xy_phase(params, K, x, y, integrator._no_stop)
+
+    monkeypatch.setattr(integrator, "_xy_phase", no_stop)
 
 
 @pytest.mark.parametrize("params, K, tols, eta_max, start, event", [
     (CRIT, 0.05, None, None, None, "escape"),
     (SUPER, 8.0, None, None, None, "plunge"),
     (SUPER, 2.5488157, None, None, None, "escape"),
-    (SUB, 1.0, None, None, None, "plunge"),
-    (ModelParams(2.0, 0.5, 1), 0.3, None, None, None, "escape"),
+    # the bound to plunge holds before the plunge
+    (SUB, 1.0, None, None, None, "stop"),
+    # the trap holds before X_BIG
+    (ModelParams(2.0, 0.5, 1), 0.3, None, None, None, "stop"),
     (SUPER, 8.0, (1e-12, 1e-14), None, None, "plunge"),
     (SUPER, 0.1, None, 5.0, None, None),
     # loose tolerances: about one attempt in three is rejected
-    (SUPER, 1.0, (1e-3, 1e-5), None, PhasePoint(0.5, 1.0), "escape"),
-    (CRIT, 1.0, (1e-6, 1e-8), None, PhasePoint(0.5, 1.0), "plunge"),
+    (SUPER, 1.0, (1e-3, 1e-5), None, PhasePoint(0.5, 1.0), "stop"),
+    (CRIT, 1.0, (1e-6, 1e-8), None, PhasePoint(0.5, 1.0), "stop"),
     # N = 2, where P0 is a saddle-node
-    (ModelParams(2.0, 0.5, 2), 0.3, None, None, None, "escape"),
+    (ModelParams(2.0, 0.5, 2), 0.3, None, None, None, "stop"),
     # the below-axis start of the portrait command
-    (SUPER, 1.0, None, None, PhasePoint(2.0, -2.0), "escape"),
-    # a long run: 1450 steps
-    (ModelParams(7.0, 0.5, 3), 0.5, None, None, None, "escape"),
+    (SUPER, 1.0, None, None, PhasePoint(2.0, -2.0), "stop"),
+    # large m: trapped at ln X = -3.2, far below X_BIG
+    (ModelParams(7.0, 0.5, 3), 0.5, None, None, None, "stop"),
 ] + [
     # near m = 1, q = (m-p)/(m-1) passes 2500 and K X^q overflows in
-    # rejected attempts
-    (ModelParams(m, 0.5, 3), K, None, None, None, "plunge")
+    # rejected attempts; the bound to plunge holds before the plunge
+    (ModelParams(m, 0.5, 3), K, None, None, None, "stop")
     for m in (1.0002, 1.0001, 1.00001) for K in (1e-3, 1.0, 1e3)
 ], ids=["ToQ1", "ToQ3-plunge", "ToQ3-past-X_big", "subcritical", "N1",
         "tightened", "eta-exhausted", "rejections-escape",
@@ -237,8 +263,8 @@ def test_xy_phase_steps_as_solve_ivp_rk45(params, K, tols, eta_max, start,
     assert xy.method == "DOP853"
     assert (xy.nfev, xy.njev, xy.steps, xy.status) == (
         ref.nfev, 0, len(ref.t) - 1, ref.status)
-    fired = [name for name, t in zip(("escape", "plunge"), ref.t_events)
-             if len(t)]
+    fired = [name for name, t in zip(("escape", "plunge", "stop"),
+                                     ref.t_events) if len(t)]
     assert fired == ([event] if event else [])
     assert len(orbit.stats) == (2 if event == "escape" else 1)
     n = xy.steps
@@ -272,16 +298,18 @@ def test_start_below_plunge_line_is_q3():
 
 def test_start_past_x_big_escapes_at_once(monkeypatch):
     # the escape test only saw a crossing from below, so a start past X_BIG
-    # ran the X-Y phase to its eta budget
+    # ran the X-Y phase to its eta budget.  The start lies below the trap's
+    # slope -(m-1)/2, so the trap does not hold there; the slope rises
+    # through it in the slope chart
     monkeypatch.setattr(integrator, "ETA_MAX", 0.05)
-    orbit = integrate(PhasePoint(2e4, 0.0), SUPER, 0.1)
+    orbit = integrate(PhasePoint(2e4, -1.5e4), SUPER, 0.1)
     assert orbit.termination.tag is OrbitTag.TO_Q1
     assert orbit.stats[0] == PhaseStats("DOP853", 0, 0, 0, 1)
     assert orbit.stats[1].method == "LSODA"
 
 
 #: X-Y field evaluations an orbit may make under the xy_budget fixture
-XY_BUDGET = 200_000
+XY_BUDGET = 20_000
 
 
 @pytest.fixture
@@ -313,14 +341,15 @@ def test_start_past_x_big_with_x_falling_escapes(start, params, K, nfev,
                                                  steps, ln_x, xy_budget):
     # X falls at these starts (Y >= 2/(m-1)); the escape test once saw only
     # a crossing of X_BIG from below, and the stiff X-Y phase ran on for
-    # millions of evaluations.  The escape here comes once Y falls below
-    # 2/(m-1), at the end of that step, so no dense output is built
+    # millions of evaluations.  The trap, tested before the escape, holds
+    # once Y falls below 2/(m-1), at the end of that step, so no dense
+    # output is built
     orbit = integrate(start, params, K)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
     assert end.diagnostics == (
         f"trapped above the slope -(m-1)/2 at ln X = {ln_x}")
-    xy = orbit.stats[0]
+    (xy,) = orbit.stats
     assert (xy.nfev, xy.steps, xy.status) == (nfev, steps, 1)
     assert (xy.nfev - 2) % 12 == 0
     assert orbit.X[steps] >= X_BIG
@@ -370,17 +399,19 @@ def test_slope_chart_field_does_not_overflow():
 def test_slope_chart_ends_by_a_stop_where_the_cap_once_fell_with_q(params):
     # q = 7.5 and 5: the slope chart once ran only to ln X = 690/(q-2), so
     # that K e^((q-2)s) stayed in the float range; the clamp in _rhs_slope
-    # lets every run go to LN_X_CAP, and each stop fires well before either
+    # lets every run go to LN_X_CAP, and each stop fires well before either.
+    # The bound's gap depends on s alone, and each ln X is its root; at
+    # m = 1.05 and K >= 1e-7 the root lies below X_BIG, where the X-Y phase
+    # once ran on to a plunge
     want = {
         (1.2, 1): ["10.7", "7.7", "6.4", "5.2"],
         (1.2, 3): ["10.8", "7.8", "6.5", "5.3"],
-        (1.05, 3): ["5.4", None, None, None],
+        (1.05, 3): ["5.4", "4.3", "3.7", "3.1"],
     }[params.m, params.N]
     for K, ln_x in zip((1e-9, 1e-7, 1e-6, 1e-5), want):
         end = integrate_from_p0(params, K).termination
         assert end.tag is OrbitTag.TO_Q3
-        assert end.diagnostics == (f"bound to plunge at ln X = {ln_x}" if ln_x
-                                   else "plunged below the Q4 ray")
+        assert end.diagnostics == f"bound to plunge at ln X = {ln_x}"
 
 
 @pytest.mark.parametrize("m, start, tag, samples", [
@@ -394,11 +425,16 @@ def test_slope_chart_ends_by_a_stop_where_the_cap_once_fell_with_q(params):
     (1.0001, PhasePoint(2.0, 1.0), OrbitTag.UNRESOLVED, 1),
     (1.0001, PhasePoint(2.0, -2e-4), OrbitTag.UNRESOLVED, 1),
 ])
-def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
+def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples,
+                                                      monkeypatch):
     # solve_ivp ended the last three orbits the same way, with overflow
-    # warnings; an orbit that takes no step names its step-size failure
+    # warnings; an orbit that takes no step names its step-size failure.
+    # The bound to plunge holds at each of these starts, so the X-Y step is
+    # compared with it turned off
     params = ModelParams(m, 0.5, 3)
-    orbit = integrate(start, params, 1e-3)
+    with monkeypatch.context() as mp:
+        _without_xy_stop(mp)
+        orbit = integrate(start, params, 1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = _reference_xy(start, params, 1e-3)
     xy = orbit.stats[0]
@@ -418,6 +454,13 @@ def test_overflow_at_the_start_ends_as_under_solve_ivp(m, start, tag, samples):
         OrbitTag.UNRESOLVED:
             f"X-Y step size fell below its minimum at X={start.X:g}",
     }[tag]
+    # with the bound, K e^((q-2) ln X) past the float range ends the orbit
+    # at the start, with no step
+    orbit = integrate(start, params, 1e-3)
+    assert orbit.termination == OrbitEnd(
+        OrbitTag.TO_Q3, start.Y / start.X,
+        f"bound to plunge at ln X = {math.log(start.X):.1f}")
+    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),)
 
 
 def test_numpy_scalar_k_steps_as_a_float():
@@ -437,7 +480,8 @@ def test_numpy_scalar_k_steps_as_a_float():
      "start at ln X = 690.8 is past the ln X cap 600.0", 0),
     (PhasePoint(1e270, -1e270), OrbitTag.UNRESOLVED,
      "start at ln X = 621.7 is past the ln X cap 600.0", 0),
-    # the stops are tested at escape before the cap
+    # the trap is tested at the start of the X-Y phase, before the escape
+    # and the cap; it ends that phase with status 1 and no LSODA record
     (PhasePoint(1e300, 0.0), OrbitTag.TO_Q1,
      "trapped above the slope -(m-1)/2 at ln X = 690.8", 1),
 ])
@@ -448,22 +492,26 @@ def test_start_past_the_ln_x_cap_runs_no_lsoda_step(start, tag, diagnostics,
     assert orbit.termination.tag is tag
     assert orbit.termination.diagnostics == diagnostics
     assert len(orbit.eta) == 1
-    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
-                           PhaseStats("LSODA", 0, 0, 0, status))
+    if tag is OrbitTag.UNRESOLVED:
+        assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
+                               PhaseStats("LSODA", 0, 0, 0, status))
+    else:
+        assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, status),)
 
 
-@pytest.mark.parametrize("start, tag, diagnostics", [
-    # on the trap line u = -(m-1)/2 = -1, with the K term below (m-1)^2/4
+@pytest.mark.parametrize("start, tag, diagnostics, phases", [
+    # on the trap line u = -(m-1)/2 = -1, with the K term below (m-1)^2/4:
+    # the X-Y phase tests the trap at its start
     (PhasePoint(1e10, -1e10), OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = 23.0"),
+     "trapped above the slope -(m-1)/2 at ln X = 23.0", 1),
     (PhasePoint(1e100, -1e100), OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = 230.3"),
-    # on the plunge line u = -3(m-1) = -6, where u falls
+     "trapped above the slope -(m-1)/2 at ln X = 230.3", 1),
+    # on the plunge line u = -3(m-1) = -6, where u falls: decided at escape
     (PhasePoint(1e10, -6e10), OrbitTag.TO_Q3,
-     "plunged below the Q4 ray (slope chart)"),
+     "plunged below the Q4 ray (slope chart)", 2),
 ], ids=["trap-1e10", "trap-1e100", "plunge-1e10"])
 def test_start_on_a_stop_boundary_is_decided_at_escape(start, tag,
-                                                       diagnostics):
+                                                       diagnostics, phases):
     # the gap is exactly 0 at the start: LSODA's event search could not
     # bracket the crossing and brentq raised a ValueError
     orbit = integrate(start, ModelParams(3.0, 0.5, 3), 1e-3)
@@ -471,7 +519,7 @@ def test_start_on_a_stop_boundary_is_decided_at_escape(start, tag,
     assert orbit.termination.diagnostics == diagnostics
     assert len(orbit.eta) == 1
     assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
-                           PhaseStats("LSODA", 0, 0, 0, 1))
+                           PhaseStats("LSODA", 0, 0, 0, 1))[:phases]
 
 
 @pytest.mark.parametrize("N", [1, 3])
@@ -490,18 +538,24 @@ def test_no_stop_by_the_ln_x_cap_is_unresolved(N):
     (None, SUPER, 8.0, None, OrbitTag.TO_Q3, "plunged below the Q4 ray", 1),
     (None, SUPER, 0.1, 5.0, OrbitTag.UNRESOLVED, "eta budget exhausted at X=",
      1),
-    (PhasePoint(90.0, 0.0), ModelParams(1.003, 0.5, 3), 1e-3, None,
+    # X falls at this start (Y >= 2/(m-1)), so the bound is not tested there
+    (PhasePoint(90.0, 1e3), ModelParams(1.003, 0.5, 3), 1e-3, None,
      OrbitTag.UNRESOLVED, "X-Y step size fell below its minimum at X=90", 1),
+    # the trap holds where ln X passes ln(4K/(m-1)^2)/(2-q) = 2 ln 0.4
     (None, SUPER, 0.1, None, OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = 4.6", 2),
+     "trapped above the slope -(m-1)/2 at ln X = -1.8", 1),
+    # the critical trap above y2 is tested at escape only
+    (None, CRIT, 0.05, None, OrbitTag.TO_Q1,
+     "trapped above the Q4 slope -0.361803 at ln X = 4.6", 2),
     (PhasePoint(1e300, -1e300), SUPER, 1.0, None, OrbitTag.UNRESOLVED,
      "start at ln X = 690.8 is past the ln X cap 600.0", 2),
     (None, ModelParams(1.5, 0.501, 3), 0.065, None, OrbitTag.TO_Q3,
      "plunged below the Q4 ray (slope chart)", 2),
     (None, ModelParams(1.5, 0.5 - 1e-9, 3), 1e-3, None, OrbitTag.UNRESOLVED,
      "no stop fired by the ln X cap 600.0", 2),
-], ids=["xy-plunge", "eta-budget", "overflowing-start", "stop-at-escape",
-        "start-past-cap", "stop-fired-in-run", "no-stop-by-cap"])
+], ids=["xy-plunge", "eta-budget", "overflowing-start", "stop-in-xy",
+        "stop-at-escape", "start-past-cap", "stop-fired-in-run",
+        "no-stop-by-cap"])
 def test_every_ending_of_integrate(start, params, K, eta_max, tag, diagnostics,
                                    phases, monkeypatch):
     if eta_max is not None:
@@ -569,11 +623,13 @@ def test_trapped_orbit_relaxes_toward_q1(params, K):
 
 
 def test_trapped_at_escape_runs_no_slope_phase():
+    # the trap holds before X_BIG: the X-Y phase ends at its root, where
+    # X = (4K/(m-1)^2)^(1/(2-q)) = 0.4^2, and no slope-chart phase runs
     orbit = integrate_from_p0(SUPER, 0.1)
-    xy, slope = orbit.stats
-    assert slope == PhaseStats("LSODA", 0, 0, 0, 1)
+    (xy,) = orbit.stats
+    assert xy.status == 1
     assert len(orbit.eta) == 1 + xy.steps
-    assert orbit.X[-1] == pytest.approx(X_BIG, rel=1e-12)
+    assert orbit.X[-1] == pytest.approx(0.16, rel=1e-12)
     assert orbit.termination.final_slope == orbit.Y[-1] / orbit.X[-1]
 
 
@@ -592,7 +648,8 @@ def test_large_m_orbit_is_trapped():
 ], ids=["m7-K0.01", "m3-p0.2-K1e-3", "m3-p0.2-K1e-4"])
 def test_small_k_orbit_is_trapped_without_a_stiff_x_y_phase(params, K):
     # small K lingers below Y = 2/(m-1), where the -(m-1)XY term makes the
-    # X-Y chart stiff at large X; the slope chart takes over at X_BIG
+    # X-Y chart stiff at large X; the slope chart takes over at X_BIG, and
+    # the trap, tested in the X-Y phase, ends these orbits well before it
     orbit = integrate_from_p0(params, K)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
@@ -619,3 +676,55 @@ def test_trap_waits_for_the_k_term():
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q3
     assert end.diagnostics == "plunged below the Q4 ray (slope chart)"
+
+
+def test_very_large_m_is_trapped_at_the_launch(xy_budget):
+    # m = 1e5: the trap holds from ln X = ln(4K/(m-1)^2)/(2-q) = -21.6, below
+    # the launch at ln X = -13.8, where the slope is about 1/3.  The trap was
+    # once tested only past X_BIG, and this orbit made 21.1M X-Y evaluations
+    # on its way there
+    orbit = integrate_from_p0(ModelParams(1e5, 0.5, 3), 1.0)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q1
+    assert end.diagnostics == "trapped above the slope -(m-1)/2 at ln X = -13.8"
+    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),)
+    assert len(orbit.eta) == 1
+
+
+@pytest.mark.parametrize("regime_name", ["supercritical", "critical",
+                                         "subcritical"])
+def test_tags_follow_the_paper_split_away_from_k_star(regime_name):
+    # the paper's split of the P0-orbit's endpoint over K: Q1 below K*, Q3
+    # above it, and Q3 at every K for m + p < 2.  K is drawn log-uniformly
+    # over three decades on each side, at least a factor 2 from K*
+    rng = np.random.default_rng(5)
+    cases = []
+    if regime_name == "supercritical":
+        for params, k_star in ((SUPER, 2.5488157),
+                               (ModelParams(3.0, 0.5, 3), 8.344726)):
+            cases += [(params, k_star / 2.0 * 10.0 ** -rng.uniform(0.0, 3.0),
+                       OrbitTag.TO_Q1) for _ in range(6)]
+            cases += [(params, k_star * 2.0 * 10.0 ** rng.uniform(0.0, 3.0),
+                       OrbitTag.TO_Q3) for _ in range(6)]
+    elif regime_name == "critical":
+        # K* = (m-1)^2/4; K <= (m-1)^2/8 or K >= (m-1)^2/2
+        for _ in range(6):
+            m = rng.uniform(1.05, 1.95)
+            params = ModelParams(m, 2.0 - m, int(rng.integers(1, 5)))
+            k_star = 0.25 * (m - 1.0) ** 2
+            cases.append((params, k_star / 2.0 * 10.0 ** -rng.uniform(0.0, 3.0),
+                          OrbitTag.TO_Q1))
+            cases.append((params, k_star * 2.0 * 10.0 ** rng.uniform(0.0, 3.0),
+                          OrbitTag.TO_Q3))
+    else:
+        # m + p <= 1.8: next to m + p = 2 the bound to plunge fires past the
+        # ln X cap (see test_no_stop_by_the_ln_x_cap_is_unresolved)
+        for _ in range(12):
+            m = rng.uniform(1.05, 1.7)
+            params = ModelParams(m, rng.uniform(0.05, 1.8 - m),
+                                 int(rng.integers(1, 5)))
+            cases.append((params, 10.0 ** rng.uniform(-4.0, 4.0),
+                          OrbitTag.TO_Q3))
+    for params, K, tag in cases:
+        end = integrate_from_p0(params, K).termination
+        assert end.tag is tag, (params, K, end)

@@ -196,10 +196,16 @@ def test_ode_residual_index_bounds(prof_fig3a):
 def test_profile_matches_orbit(prof_fig3a, monkeypatch):
     # push the samples through X = (alpha/2m) xi^2 f^(1-m), Y = xi f'/f and
     # compare against the phase-plane integration of the same K, kept in the
-    # X-Y chart to X = 1e4: from X_BIG = 1e2 on the trap would end it
+    # X-Y chart to X = 1e4, with the trap off there: from X = 0.16 on the
+    # trap would end it
     from selfsim import integrator
 
     monkeypatch.setattr(integrator, "X_BIG", 1e4)
+    xy_phase = integrator._xy_phase
+    monkeypatch.setattr(
+        integrator, "_xy_phase",
+        lambda params, K, x, y, gap: xy_phase(params, K, x, y,
+                                              integrator._no_stop))
     prof = prof_fig3a
     orbit = integrator.integrate_from_p0(SUPER, 0.1)
     sel = (prof.xi > 0.1) & (prof.xi < 0.98 * prof.xi0)
