@@ -18,14 +18,19 @@ once entered, the orbit never leaves and that leads to one endpoint.
   to the vertical stable node Q3;
 * the supercritical trap and the bound to plunge hold at any X, so the X-Y
   phase tests them at (ln X, Y/X) from the start, wherever X is rising, and
-  an orbit whose fate they prove ends there;
+  an orbit whose fate they prove ends there.  The trap is the region above
+  the lower root of u^2 + (m-1)u + K X^(q-2), u = Y/X, which falls toward the
+  Q4 ray u = -(m-1) as X grows, so an orbit that rides the ray toward Q1 is
+  trapped as soon as it leaves the ray;
 * once X is past ``X_BIG`` and rising, the orbit switches to the slope chart
   (u, s) = (Y/X, ln X), which stays well-scaled over hundreds of e-folds
   of X.  The switch comes early: the -(m-1)XY term of Y' relaxes Y at a
   rate of about (m-1)X, so an explicit step in the X-Y chart shrinks like
   1/((m-1)X), while LSODA takes the slope chart's stiffness in stride;
 * there every tag comes from a stop, the critical trap above the Q4 slope
-  among them; an orbit that meets none by the ln X cap is ``Unresolved``.
+  and the supercritical stop below the Q4 ray among them, the latter as soon
+  as an orbit falls through the ray toward Q3; an orbit that meets none by
+  the ln X cap is ``Unresolved``.
 
 ``integrate`` maps the way the X-Y phase ended (a nonfinite state, a
 plunge, a stop, the eta budget or the step-size floor) to an ``OrbitEnd``,
@@ -176,10 +181,11 @@ def _stops(params: ModelParams, K: float):
     den = 2e^(-s) - (m-1)u > 0, du/ds = num/den.
 
     The first stop is the plunge and the second the trap (m + p > 2) or the
-    bound to plunge (m + p <= 2); the critical regime adds a third.  The
+    bound to plunge (m + p <= 2); the supercritical regime adds the stop
+    below the Q4 ray u = -(m-1), the critical regime the trap above y2.  The
     proofs of the trap and the bound use no bound on s, so the X-Y phase
     tests the second stop too, at (s, u) = (ln X, Y/X) wherever X is rising
-    (den > 0).  Neither gap overflows at any finite s.
+    (den > 0).  No gap overflows at any finite s.
     """
     m1, N, q = params.m - 1.0, params.N, params.power_ratio
     reg = regime(params)
@@ -189,18 +195,38 @@ def _stops(params: ModelParams, K: float):
 
     stops = [(plunged, OrbitTag.TO_Q3, "plunged below the Q4 ray (slope chart)")]
     if reg is Regime.SUPERCRITICAL:
-        # q < 2: the K term falls with s.  Once it is below (m-1)^2/4 with u
-        # above -(m-1)/2, du/ds > 0 on u = -(m-1)/2 and du/ds < 0 where the
-        # chart ends (den = 0), so u can never reach the plunge line: Q1.
-        # The K term is below (m-1)^2/4 past ln X = ln(4K/(m-1)^2)/(2-q),
-        # taken in logs so that no power overflows
+        # q < 2: the K term E(s) = K e^((q-2)s), its exponent clamped at 700
+        # as in _rhs_slope, falls with s.  Past ln X = ln(4K/(m-1)^2)/(2-q),
+        # taken in logs so that no power overflows, it is below (m-1)^2/4,
+        # and the roots u- <= u+ of u^2 + (m-1)u + E(s) exist, u- falling
+        # toward -(m-1).  On u = u-, num = (2 - Nu)e^(-s) > 0, so the flow
+        # enters the region above u-, and between the roots num > 0: once
+        # above u-, u never falls back to it and never plunges: Q1.  The
+        # half-plane u >= -(m-1)/2 lies inside.  The product form keeps the
+        # gap at -E(s) < 0 on the ray, where the root formula would round u-
+        # onto -(m-1)
         ln_x_trap = (math.log(4.0 * K) - 2.0 * math.log(m1)) / (2.0 - q)
 
         def trapped(s, y):
-            return min(y[0] + 0.5 * m1, s - ln_x_trap)
+            u = y[0]
+            E = K * math.exp(min((q - 2.0) * s, 700.0))
+            return min(max(u + 0.5 * m1, -(u * (u + m1) + E)), s - ln_x_trap)
 
-        stops.append((trapped, OrbitTag.TO_Q1,
-                       "trapped above the slope -(m-1)/2 at ln X = {:.1f}"))
+        # below the ray, u = -(m-1) - d with d >= 0:
+        #   num = -d(m-1 + d - N e^(-s)) - e^(-s)(K e^((q-1)s) - (N(m-1) + 2)),
+        # negative past ln X = max(ln(N/(m-1)), ln((N(m-1) + 2)/K)/(q-1)), so
+        # u falls monotonically to the plunge line: Q3.  Tested in the slope
+        # chart only, where s >= ln X_BIG > 0 and E(s) is not clamped
+        s_below = max(math.log(N / m1),
+                      (math.log(N * m1 + 2.0) - math.log(K)) / (q - 1.0))
+
+        def below(s, y):
+            return min(-(y[0] + m1), s - s_below)
+
+        stops += [(trapped, OrbitTag.TO_Q1,
+                   "trapped above the lower root of u^2 + (m-1)u + K X^(q-2) "
+                   "at ln X = {:.1f}"),
+                  (below, OrbitTag.TO_Q3, "below the Q4 ray at ln X = {:.1f}")]
     else:
         # q >= 2: the K term never falls.  For u in [-3(m-1), 2e^(-s)/(m-1)],
         # num <= -bound, so once the bound is positive u falls at a rate
@@ -229,6 +255,12 @@ def _stops(params: ModelParams, K: float):
     for gap, _, _ in stops:
         gap.terminal, gap.direction = True, 1.0
     return stops
+
+
+def _stop_diagnostics(diag: str, s: float) -> str:
+    """A stop's diagnostics at ln X = s, rounded to 0.1 before it is
+    formatted, so that an ln X just below 0 prints as 0.0, not -0.0."""
+    return diag.format(round(s, 1) + 0.0)
 
 
 def _no_stop(s: float, y) -> float:
@@ -518,7 +550,7 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
         g = gap(s0, (u0,))
         return g > 0.0 or g == 0.0 and (i > 0 or rhs(s0, (u0, eta0))[0] < 0.0)
 
-    held = next(((tag, diag.format(s0))
+    held = next(((tag, _stop_diagnostics(diag, s0))
                  for i, (gap, tag, diag) in enumerate(stops) if holds(i, gap)),
                 None)
     if held is not None or s0 >= LN_X_CAP:
@@ -546,7 +578,7 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     fired = [stop for stop, t in zip(stops, sol.t_events) if len(t)]
     if fired:
         _, tag, diag = fired[0]
-        diag = diag.format(s[-1])
+        diag = _stop_diagnostics(diag, s[-1])
     else:
         tag = OrbitTag.UNRESOLVED
         diag = (f"slope chart stalled at ln X = {s[-1]:.1f}" if sol.status == -1
@@ -590,7 +622,7 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
         end = OrbitEnd(OrbitTag.TO_Q3, slope, "plunged below the Q4 ray")
     elif event == "stop":
         _, tag, diag = stops[1]
-        end = OrbitEnd(tag, slope, diag.format(math.log(X[-1])))
+        end = OrbitEnd(tag, slope, _stop_diagnostics(diag, math.log(X[-1])))
     elif event is None:
         reason = ("X-Y step size fell below its minimum" if xy_stats.status == -1
                   else "eta budget exhausted")

@@ -23,6 +23,8 @@ from selfsim.phaseplane import PhasePoint, planar_field
 SUPER = ModelParams(2.0, 0.5, 4)
 CRIT = ModelParams(1.5, 0.5, 3)
 SUB = ModelParams(1.2, 0.5, 3)
+#: the supercritical trap's diagnostics up to its ln X
+TRAPPED = "trapped above the lower root of u^2 + (m-1)u + K X^(q-2)"
 
 
 def test_launch_point_high_dimension():
@@ -298,11 +300,11 @@ def test_start_below_plunge_line_is_q3():
 
 def test_start_past_x_big_escapes_at_once(monkeypatch):
     # the escape test only saw a crossing from below, so a start past X_BIG
-    # ran the X-Y phase to its eta budget.  The start lies below the trap's
-    # slope -(m-1)/2, so the trap does not hold there; the slope rises
-    # through it in the slope chart
+    # ran the X-Y phase to its eta budget.  At K = 30 the trap's lower root
+    # is -0.694 there, above the start's slope -0.75, so the trap does not
+    # hold at the start; the slope rises through the root in the slope chart
     monkeypatch.setattr(integrator, "ETA_MAX", 0.05)
-    orbit = integrate(PhasePoint(2e4, -1.5e4), SUPER, 0.1)
+    orbit = integrate(PhasePoint(2e4, -1.5e4), SUPER, 30.0)
     assert orbit.termination.tag is OrbitTag.TO_Q1
     assert orbit.stats[0] == PhaseStats("DOP853", 0, 0, 0, 1)
     assert orbit.stats[1].method == "LSODA"
@@ -347,8 +349,7 @@ def test_start_past_x_big_with_x_falling_escapes(start, params, K, nfev,
     orbit = integrate(start, params, K)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
-    assert end.diagnostics == (
-        f"trapped above the slope -(m-1)/2 at ln X = {ln_x}")
+    assert end.diagnostics == f"{TRAPPED} at ln X = {ln_x}"
     (xy,) = orbit.stats
     assert (xy.nfev, xy.steps, xy.status) == (nfev, steps, 1)
     assert (xy.nfev - 2) % 12 == 0
@@ -357,12 +358,14 @@ def test_start_past_x_big_with_x_falling_escapes(start, params, K, nfev,
 
 
 def test_start_past_x_big_with_x_falling_can_plunge_in_the_slope_chart():
-    # this orbit once plunged in the X-Y chart after 65 steps
+    # this orbit once plunged in the X-Y chart after 65 steps; in the slope
+    # chart it ends where it falls through the Q4 ray, bound to plunge
     orbit = integrate(PhasePoint(150.0, 3.0), SUPER, 8.0)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q3
-    assert end.diagnostics == "plunged below the Q4 ray (slope chart)"
+    assert end.diagnostics == "below the Q4 ray at ln X = 7.4"
     assert orbit.stats[0].steps == 1
+    assert orbit.stats[1].method == "LSODA"
 
 
 def test_every_start_returns_after_bounded_work(xy_budget):
@@ -483,12 +486,18 @@ def test_numpy_scalar_k_steps_as_a_float():
     # the trap is tested at the start of the X-Y phase, before the escape
     # and the cap; it ends that phase with status 1 and no LSODA record
     (PhasePoint(1e300, 0.0), OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = 690.8", 1),
+     f"{TRAPPED} at ln X = 690.8", 1),
 ])
 def test_start_past_the_ln_x_cap_runs_no_lsoda_step(start, tag, diagnostics,
                                                     status):
-    # LSODA was handed the span (ln X, 600) and stepped down in s
-    orbit = integrate(start, SUPER, 1.0)
+    # LSODA was handed the span (ln X, 600) and stepped down in s.  At
+    # (2,1/2,4), K = 1 the Unresolved starts lie on the Q4 ray, where the
+    # stop below it holds (test_start_on_the_q4_ray_is_below_it_not_trapped),
+    # so they run at (1.5,1/2,3), K = 0.05, where their slope -1 lies between
+    # the plunge line -1.5 and the Q4 slope y2 = -0.362 and K < (m-1)^2/4
+    # keeps the bound from holding
+    params, K = ((SUPER, 1.0) if tag is OrbitTag.TO_Q1 else (CRIT, 0.05))
+    orbit = integrate(start, params, K)
     assert orbit.termination.tag is tag
     assert orbit.termination.diagnostics == diagnostics
     assert len(orbit.eta) == 1
@@ -500,26 +509,113 @@ def test_start_past_the_ln_x_cap_runs_no_lsoda_step(start, tag, diagnostics,
 
 
 @pytest.mark.parametrize("start, tag, diagnostics, phases", [
-    # on the trap line u = -(m-1)/2 = -1, with the K term below (m-1)^2/4:
-    # the X-Y phase tests the trap at its start
-    (PhasePoint(1e10, -1e10), OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = 23.0", 1),
-    (PhasePoint(1e100, -1e100), OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = 230.3", 1),
+    # on the line u = -(m-1)/2 = -1, with the K term below (m-1)^2/4: inside
+    # the trap, which the X-Y phase tests at its start
+    (PhasePoint(1e10, -1e10), OrbitTag.TO_Q1, f"{TRAPPED} at ln X = 23.0",
+     1),
+    (PhasePoint(1e100, -1e100), OrbitTag.TO_Q1, f"{TRAPPED} at ln X = 230.3",
+     1),
     # on the plunge line u = -3(m-1) = -6, where u falls: decided at escape
     (PhasePoint(1e10, -6e10), OrbitTag.TO_Q3,
      "plunged below the Q4 ray (slope chart)", 2),
-], ids=["trap-1e10", "trap-1e100", "plunge-1e10"])
+    # on the Q4 ray u = -(m-1) = -2, past ln X = ln(8/K)/(q-1) = 35.9, where
+    # the stop below the ray starts: decided at escape
+    (PhasePoint(1e100, -2e100), OrbitTag.TO_Q3,
+     "below the Q4 ray at ln X = 230.3", 2),
+], ids=["trap-1e10", "trap-1e100", "plunge-1e10", "ray-1e100"])
 def test_start_on_a_stop_boundary_is_decided_at_escape(start, tag,
                                                        diagnostics, phases):
-    # the gap is exactly 0 at the start: LSODA's event search could not
-    # bracket the crossing and brentq raised a ValueError
+    # the plunge and ray starts lie exactly on their gap's zero: LSODA's
+    # event search could not bracket the crossing there, and brentq raised a
+    # ValueError on the trap line's starts before the trap grew past it
     orbit = integrate(start, ModelParams(3.0, 0.5, 3), 1e-3)
     assert orbit.termination.tag is tag
     assert orbit.termination.diagnostics == diagnostics
     assert len(orbit.eta) == 1
     assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
                            PhaseStats("LSODA", 0, 0, 0, 1))[:phases]
+
+
+@pytest.mark.parametrize("start, ln_x", [
+    (PhasePoint(1e300, -1e300), "690.8"), (PhasePoint(1e270, -1e270), "621.7"),
+])
+def test_start_on_the_q4_ray_is_below_it_not_trapped(start, ln_x):
+    # exactly on the ray u = -(m-1) the trap's product u(u + m-1) is 0, so
+    # its gap is -K X^(q-2) < 0, however small; a gap taken through the
+    # root formula rounds the lower root onto the ray there and traps the
+    # start.  Past ln X = ln(6/K)/(q-1) the ray is the edge of the stop below
+    # it, which holds on its boundary
+    orbit = integrate(start, SUPER, 1.0)
+    assert orbit.termination == OrbitEnd(OrbitTag.TO_Q3, -1.0,
+                                         f"below the Q4 ray at ln X = {ln_x}")
+    assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),
+                           PhaseStats("LSODA", 0, 0, 0, 1))
+    trapped = integrator._stops(SUPER, 1.0)[1][0]
+    assert trapped(math.log(start.X), (-1.0,)) < 0.0
+
+
+def _plunge_and_half_plane_trap(params, K):
+    """Supercritical stops whose proofs need no root of the slope field: the
+    plunge and the trap on the half-plane u >= -(m-1)/2."""
+    m1, q = params.m - 1.0, params.power_ratio
+    ln_x_trap = (math.log(4.0 * K) - 2.0 * math.log(m1)) / (2.0 - q)
+
+    def plunged(s, y):
+        return -(y[0] + 3.0 * m1)
+
+    def trapped(s, y):
+        return min(y[0] + 0.5 * m1, s - ln_x_trap)
+
+    for gap in (plunged, trapped):
+        gap.terminal, gap.direction = True, 1.0
+    return [(plunged, OrbitTag.TO_Q3, "plunged"),
+            (trapped, OrbitTag.TO_Q1, "trapped")]
+
+
+@pytest.mark.parametrize("params, K", [
+    (SUPER, 1.0), (SUPER, 2.5), (ModelParams(3.0, 0.5, 3), 8.0),
+    (ModelParams(5.0, 0.9, 1), 6.0), (ModelParams(7.0, 0.5, 3), 24.0),
+    (ModelParams(1.5, 0.6, 2), 0.06),
+], ids=["2-0.5-4-K1", "2-0.5-4-K2.5", "3-0.5-3", "5-0.9-1", "7-0.5-3",
+        "1.5-0.6-2"])
+def test_stops_at_the_ray_end_as_plunge_and_half_plane_trap_prove(params, K):
+    # starts drawn inside the trap above the lower root u- and inside the
+    # stop below the Q4 ray, some within 1e-10 of their edge, run in the
+    # slope chart with only the plunge and the half-plane trap: each ends
+    # where the tag of the stop it was drawn in says
+    rng = np.random.default_rng(11)
+    m1, q = params.m - 1.0, params.power_ratio
+    _, (trapped, _, _), (below, _, _) = integrator._stops(params, K)
+    ln_x_trap = (math.log(4.0 * K) - 2.0 * math.log(m1)) / (2.0 - q)
+    s_below = max(math.log(params.N / m1),
+                  math.log((params.N * m1 + 2.0) / K) / (q - 1.0))
+    cases = []
+    for _ in range(6):
+        s = rng.uniform(0.0, 20.0) + max(ln_x_trap, math.log(X_BIG))
+        E = K * math.exp((q - 2.0) * s)
+        # u- = -(m-1) + 2E/(m-1 + sqrt((m-1)^2 - 4E)), free of cancellation
+        lower = -m1 + 2.0 * E / (m1 + math.sqrt(m1 * m1 - 4.0 * E))
+        r = 10.0 ** rng.uniform(-10.0, 0.0)
+        cases.append((s, lower + r * (-0.5 * m1 - lower), trapped,
+                      OrbitTag.TO_Q1))
+        s = rng.uniform(0.0, 20.0) + max(s_below, math.log(X_BIG))
+        r = 10.0 ** rng.uniform(-10.0, 0.0)
+        cases.append((s, -m1 - r * 1.99 * m1, below, OrbitTag.TO_Q3))
+    for s, u, gap, tag in cases:
+        assert gap(s, (u,)) >= 0.0
+        _, end, stats = integrator._slope_phase(
+            params, K, s, u, 0.0, _plunge_and_half_plane_trap(params, K))
+        assert end.tag is tag, (s, u, end)
+        assert stats.status == 1
+
+
+@pytest.mark.parametrize("m", [1.0002, 1.0001, 1.00001])
+def test_stop_just_below_ln_x_0_prints_no_negative_zero(m):
+    # the bound fires a rounding below ln X = 0 here, which {:.1f} printed
+    # as -0.0
+    end = integrate_from_p0(ModelParams(m, 0.5, 3), 1e3).termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert end.diagnostics == "bound to plunge at ln X = 0.0"
 
 
 @pytest.mark.parametrize("N", [1, 3])
@@ -542,15 +638,17 @@ def test_no_stop_by_the_ln_x_cap_is_unresolved(N):
     (PhasePoint(90.0, 1e3), ModelParams(1.003, 0.5, 3), 1e-3, None,
      OrbitTag.UNRESOLVED, "X-Y step size fell below its minimum at X=90", 1),
     # the trap holds where ln X passes ln(4K/(m-1)^2)/(2-q) = 2 ln 0.4
-    (None, SUPER, 0.1, None, OrbitTag.TO_Q1,
-     "trapped above the slope -(m-1)/2 at ln X = -1.8", 1),
+    (None, SUPER, 0.1, None, OrbitTag.TO_Q1, f"{TRAPPED} at ln X = -1.8",
+     1),
     # the critical trap above y2 is tested at escape only
     (None, CRIT, 0.05, None, OrbitTag.TO_Q1,
      "trapped above the Q4 slope -0.361803 at ln X = 4.6", 2),
-    (PhasePoint(1e300, -1e300), SUPER, 1.0, None, OrbitTag.UNRESOLVED,
+    # a critical start that meets no stop (see
+    # test_start_past_the_ln_x_cap_runs_no_lsoda_step)
+    (PhasePoint(1e300, -1e300), CRIT, 0.05, None, OrbitTag.UNRESOLVED,
      "start at ln X = 690.8 is past the ln X cap 600.0", 2),
     (None, ModelParams(1.5, 0.501, 3), 0.065, None, OrbitTag.TO_Q3,
-     "plunged below the Q4 ray (slope chart)", 2),
+     "below the Q4 ray at ln X = 18.7", 2),
     (None, ModelParams(1.5, 0.5 - 1e-9, 3), 1e-3, None, OrbitTag.UNRESOLVED,
      "no stop fired by the ln X cap 600.0", 2),
 ], ids=["xy-plunge", "eta-budget", "overflowing-start", "stop-in-xy",
@@ -588,7 +686,8 @@ def test_orbit_stats_count_both_phases():
 
 def _reference_slope(orbit, params, K):
     """LSODA in the slope chart from the orbit's last sample, run until the
-    slope plunges below -3(m-1), rises through -1e-6(m-1) or s = 600."""
+    slope plunges below -3(m-1), rises through -1e-6(m-1), falls through the
+    Q4 ray -(m-1) or s = 600.  The events are in that order."""
     m = params.m
 
     def down(s, y):
@@ -597,13 +696,17 @@ def _reference_slope(orbit, params, K):
     def relaxed(s, y):
         return y[0] + 1e-6 * (m - 1.0)
 
+    def below_ray(s, y):
+        return y[0] + (m - 1.0)
+
     down.terminal, down.direction = True, -1.0
     relaxed.terminal, relaxed.direction = True, 1.0
+    below_ray.terminal, below_ray.direction = True, -1.0
     s0 = np.log(orbit.X[-1])
     return solve_ivp(_rhs_slope(params, K), (s0, 600.0),
                      [orbit.Y[-1] / orbit.X[-1], orbit.eta[-1]],
                      method="LSODA", rtol=1e-10, atol=1e-12,
-                     events=[down, relaxed])
+                     events=[down, relaxed, below_ray])
 
 
 @pytest.mark.parametrize("params, K", [
@@ -614,12 +717,18 @@ def test_trapped_orbit_relaxes_toward_q1(params, K):
     orbit = integrate_from_p0(params, K)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
-    assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
-    # the event root may sit a rounding error below the line
-    assert end.final_slope > -0.5 * (params.m - 1.0) - 1e-12
+    assert end.diagnostics.startswith(TRAPPED)
+    # the orbit ends above -(m-1)/2 or between the roots of
+    # u^2 + (m-1)u + K X^(q-2), up to the rounding of the event root; near
+    # K* that is well below -(m-1)/2
+    m1, s = params.m - 1.0, math.log(orbit.X[-1])
+    E = K * math.exp((params.power_ratio - 2.0) * s)
+    u = end.final_slope
+    assert u > -m1
+    assert u > -0.5 * m1 - 1e-12 or u * (u + m1) + E < 1e-12
     ref = _reference_slope(orbit, params, K)
     assert ref.status == 1
-    assert len(ref.t_events[0]) == 0 and len(ref.t_events[1]) == 1
+    assert [len(t) for t in ref.t_events] == [0, 1, 0]
 
 
 def test_trapped_at_escape_runs_no_slope_phase():
@@ -635,10 +744,10 @@ def test_trapped_at_escape_runs_no_slope_phase():
 
 def test_large_m_orbit_is_trapped():
     # large m: the slope of a Q1-bound orbit rises toward 0 from below and
-    # is tagged once the trap above -(m-1)/2 holds
+    # is tagged once the trap holds
     end = integrate_from_p0(ModelParams(7.0, 0.5, 3), 1.0).termination
     assert end.tag is OrbitTag.TO_Q1
-    assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
+    assert end.diagnostics.startswith(TRAPPED)
 
 
 @pytest.mark.parametrize("params, K", [
@@ -653,7 +762,7 @@ def test_small_k_orbit_is_trapped_without_a_stiff_x_y_phase(params, K):
     orbit = integrate_from_p0(params, K)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
-    assert end.diagnostics.startswith("trapped above the slope -(m-1)/2")
+    assert end.diagnostics.startswith(TRAPPED)
     assert orbit.stats[0].nfev < 1e5
 
 
@@ -668,14 +777,19 @@ def test_start_past_x_big_near_m_1_is_bound_to_plunge():
 
 def test_trap_waits_for_the_k_term():
     # near m + p = 2 the K term barely decays: this orbit escapes above
-    # u = -(m-1)/2 with K e^((q-2)s) > (m-1)^2/4 and still plunges
+    # u = -(m-1)/2 with K e^((q-2)s) > (m-1)^2/4, is never trapped, and
+    # falls through the Q4 ray, bound to plunge
     params = ModelParams(1.5, 0.501, 3)
     orbit = integrate_from_p0(params, 0.065)
     xy = orbit.stats[0]
     assert orbit.Y[xy.steps] / orbit.X[xy.steps] > -0.5 * (params.m - 1.0)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q3
-    assert end.diagnostics == "plunged below the Q4 ray (slope chart)"
+    assert end.diagnostics == "below the Q4 ray at ln X = 18.7"
+    trapped = integrator._stops(params, 0.065)[1][0]
+    s = np.log(orbit.X[xy.steps:])
+    u = orbit.Y[xy.steps:] / orbit.X[xy.steps:]
+    assert all(trapped(si, (ui,)) < 0.0 for si, ui in zip(s, u))
 
 
 def test_very_large_m_is_trapped_at_the_launch(xy_budget):
@@ -686,7 +800,7 @@ def test_very_large_m_is_trapped_at_the_launch(xy_budget):
     orbit = integrate_from_p0(ModelParams(1e5, 0.5, 3), 1.0)
     end = orbit.termination
     assert end.tag is OrbitTag.TO_Q1
-    assert end.diagnostics == "trapped above the slope -(m-1)/2 at ln X = -13.8"
+    assert end.diagnostics == f"{TRAPPED} at ln X = -13.8"
     assert orbit.stats == (PhaseStats("DOP853", 0, 0, 0, 1),)
     assert len(orbit.eta) == 1
 

@@ -67,6 +67,24 @@ def test_find_k_star_large_m():
     assert report.K_star == pytest.approx(24.33509, rel=1e-6)
 
 
+@pytest.mark.parametrize("params, K_star, bracket", [
+    (ModelParams(50.0, 0.5, 3), 159.2003776, (158.9578, 159.4427)),
+    (ModelParams(70.0, 0.2, 1), 78.93469667, (78.8893, 79.0095)),
+    (ModelParams(200.0, 0.5, 3), 613.135437, (512.0, 861.08)),
+], ids=["50-0.5-3", "70-0.2-1", "200-0.5-3"])
+def test_find_k_star_at_large_m_reaches_its_tolerance(params, K_star,
+                                                      bracket):
+    # near K* the orbit rides the Q4 ray, which repels at only 1/(m-1) per
+    # unit of ln X; the probes once met no stop by the ln X cap and the
+    # bisection ended early ("probe unresolved") in the bracket given here.
+    # The stops below the ray and above its lower root fire as soon as the
+    # orbit leaves it
+    report = find_k_star(params, tol_K=1e-6)
+    assert report.notes == ""
+    assert report.K_star == pytest.approx(K_star, rel=1e-6)
+    assert bracket[0] < report.K_star < bracket[1]
+
+
 @pytest.mark.parametrize("params", [
     CRIT, ModelParams(1.2, 0.8, 3), ModelParams(1.3, 0.7, 1),
     ModelParams(1.05, 0.95, 3), ModelParams(1.01, 0.99, 1),
