@@ -49,7 +49,8 @@ import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
-from selfsim.params import DomainError, ModelParams, Regime, regime
+from selfsim.params import (DomainError, ModelParams, Regime,
+                            positive_finite, regime)
 from selfsim.phaseplane import (
     PhasePoint,
     critical_slopes,
@@ -140,8 +141,7 @@ def launch_from_p0(params: ModelParams, K: float) -> PhasePoint:
     (the 2/N slope becomes 1 for N=2 and 2 for N=1; the correction
     coefficient formula covers all dimensions).
     """
-    if not 0.0 < K < math.inf:
-        raise DomainError(f"K must be positive and finite, got {K}")
+    K = positive_finite("K", K)
     delta = LAUNCH_OFFSET
     m, N, q = params.m, params.N, params.power_ratio
     corr = K * (m - 1.0) / (N * (m - 1.0) + 2.0 * (1.0 - params.p))
@@ -599,12 +599,7 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
     """
     if not start.X > 0.0:
         raise DomainError("start.X must be positive")
-    if not (math.isfinite(start.X) and math.isfinite(start.Y)):
-        raise DomainError("start must be finite")
-    if not 0.0 < K < math.inf:
-        raise DomainError(f"K must be positive and finite, got {K}")
-    # one arithmetic on every route: numpy scalars become Python floats
-    K = float(K)
+    K = positive_finite("K", K)
 
     stops = _stops(params, K)
     eta, X, Y, event, xy_stats = _xy_phase(params, K, float(start.X),
@@ -649,7 +644,7 @@ def _resample(params: ModelParams, K: float, X: np.ndarray, Y: np.ndarray,
     dY/d(ln X) = X dY/dX come from ``planar_field`` at the samples.  X must
     increase along the samples, and the grid must lie within their range.
     """
-    field = planar_field(params, float(K))
+    field = planar_field(params, K)
     dX, dY = np.array([field(x, y) for x, y in zip(X.tolist(), Y.tolist())]).T
     # slope-chart samples far past X_BIG can overflow the field; a piece
     # uses only the slopes at its own two ends

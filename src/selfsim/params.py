@@ -24,6 +24,21 @@ class DomainError(ValueError):
     """Raised when inputs leave the valid exponent range."""
 
 
+def positive_finite(name: str, x: float) -> float:
+    """The one owner of the rule 0 < x < inf: a ``DomainError`` naming the
+    argument ``name``, else x as a Python float, so that numpy scalars run
+    Python-float arithmetic."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x}")
+    return float(x)
+
+
+def _check_m(m: float) -> None:
+    """The one owner of the rule on m: finite and > 1."""
+    if not 1.0 < m < math.inf:
+        raise DomainError(f"m must be finite and > 1, got {m}")
+
+
 class Regime(Enum):
     SUPERCRITICAL = "supercritical"  # m + p > 2
     CRITICAL = "critical"            # m + p = 2
@@ -32,8 +47,7 @@ class Regime(Enum):
 
 def sigma_critical(m: float, p: float) -> float:
     """Weight exponent 2(1-p)/(m-1) for given (m, p)."""
-    if not 1.0 < m < math.inf:
-        raise DomainError(f"m must be finite and > 1, got {m}")
+    _check_m(m)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     return 2.0 * (1.0 - p) / (m - 1.0)
@@ -79,8 +93,7 @@ class ShootingParam:
 
 def alpha_beta_from_k(params: ModelParams, K: float) -> ShootingParam:
     """Invert the K(alpha) relation: alpha = 2m*(mK)^(-(m-1)/(m-p))."""
-    if not 0.0 < K < math.inf:
-        raise DomainError(f"K must be positive and finite, got {K}")
+    K = positive_finite("K", K)
     m = params.m
     try:
         alpha = 2.0 * m * (m * K) ** (-(m - 1.0) / (m - params.p))
@@ -95,8 +108,7 @@ def alpha_beta_from_k(params: ModelParams, K: float) -> ShootingParam:
 
 def k_from_alpha(params: ModelParams, alpha: float) -> ShootingParam:
     """Forward map K = (1/m)*(2m/alpha)^((m-p)/(m-1))."""
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    alpha = positive_finite("alpha", alpha)
     m = params.m
     try:
         K = (1.0 / m) * (2.0 * m / alpha) ** params.power_ratio
@@ -111,6 +123,5 @@ def k_from_alpha(params: ModelParams, alpha: float) -> ShootingParam:
 
 def alpha_star_critical(m: float) -> float:
     """Explicit threshold exponent 4*sqrt(m)/(m-1), valid when m + p = 2."""
-    if not m > 1.0:
-        raise DomainError(f"m must be > 1, got {m}")
+    _check_m(m)
     return 4.0 * math.sqrt(m) / (m - 1.0)

@@ -17,19 +17,27 @@ from enum import Enum
 
 import numpy as np
 
-from selfsim.params import DomainError, ModelParams, Regime, regime
+from selfsim.params import (DomainError, ModelParams, Regime,
+                            positive_finite, regime)
+
+
+def _check_phase_point(X: float, Y: float = 0.0) -> None:
+    """The one owner of the phase-point rule: X >= 0, X and Y finite."""
+    if not 0.0 <= X < math.inf:
+        raise DomainError(f"X must be nonnegative and finite, got {X}")
+    if not math.isfinite(Y):
+        raise DomainError(f"Y must be finite, got {Y}")
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """State (X, Y) of the planar system; X >= 0 by construction."""
+    """State (X, Y) of the planar system, admissible by construction."""
 
     X: float
     Y: float
 
     def __post_init__(self) -> None:
-        if self.X < 0.0:
-            raise DomainError(f"X must be nonnegative, got {self.X}")
+        _check_phase_point(self.X, self.Y)
 
 
 class PointKind(Enum):
@@ -69,6 +77,7 @@ def planar_field(params: ModelParams, K: float):
     2500 as m -> 1): dY is then -inf, as numpy's float64 power gives it,
     so a solver's step through such a state fails its error test.
     """
+    K = positive_finite("K", K)
     m, N, q = params.m, params.N, params.power_ratio
 
     def field(X, Y):
@@ -161,8 +170,7 @@ def infinity_critical_points(params: ModelParams, K: float) -> list[CriticalPoin
       of y^2 + (m-1)y + K = 0; they coalesce into a saddle-node at equality.
     * m + p < 2: only the vertical points Q2 and Q3 survive.
     """
-    if not K > 0.0:
-        raise DomainError(f"K must be positive, got {K}")
+    K = positive_finite("K", K)
     m = params.m
     reg = regime(params)
     q2 = CriticalPoint(
@@ -208,6 +216,7 @@ def infinity_critical_points(params: ModelParams, K: float) -> list[CriticalPoin
 
 def critical_slopes(params: ModelParams, K: float) -> tuple[float, float] | None:
     """Ray slopes (y1, y2) of Q1/Q4 in the m + p = 2 regime, or None."""
+    K = positive_finite("K", K)
     disc = (params.m - 1.0) ** 2 - 4.0 * K
     if disc < 0.0:
         return None
@@ -234,8 +243,8 @@ class IsoclineBranches:
 
 def isocline(X: float, params: ModelParams, K: float) -> IsoclineBranches:
     """Evaluate the Y-nullcline branches and their discriminant at X."""
-    if X < 0.0:
-        raise DomainError(f"X must be nonnegative, got {X}")
+    _check_phase_point(X)
+    K = positive_finite("K", K)
     m, N = params.m, params.N
     delta = (
         (m - 1.0) ** 2 * X * X
@@ -257,6 +266,7 @@ def isocline(X: float, params: ModelParams, K: float) -> IsoclineBranches:
 
 def isocline_zero_crossing(params: ModelParams, K: float) -> float:
     """Abscissa X0(K) = (2/K)^((m-1)/(1-p)) where the upper branch changes sign."""
+    K = positive_finite("K", K)
     return (2.0 / K) ** ((params.m - 1.0) / (1.0 - params.p))
 
 
@@ -270,8 +280,7 @@ def numerical_jacobian(
     near the invariant axis X = 0 the X-derivative takes a forward step
     (the eigenvalues there live on the diagonal, which is unaffected).
     """
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h}")
+    h = positive_finite("h", h)
     field = planar_field(params, K)
     x_lo, dx = (P.X - h, 2.0 * h) if P.X - h >= 0.0 else (P.X, h)
     fp, fm = field(P.X + h, P.Y), field(x_lo, P.Y)

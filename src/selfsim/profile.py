@@ -32,6 +32,7 @@ from selfsim.params import (
     ModelParams,
     Regime,
     alpha_beta_from_k,
+    positive_finite,
     regime,
 )
 
@@ -440,8 +441,7 @@ def rescale(profile: Profile, lam: float) -> Profile:
     lam, the factor lam^(-2/(m-1)) and the interface xi0/lam must all be
     positive and finite.
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"lambda must be positive and finite, got {lam}")
+    lam = positive_finite("lambda", lam)
     try:
         fac = lam ** (-2.0 / (profile.params.m - 1.0))
     except OverflowError:

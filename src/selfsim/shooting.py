@@ -18,6 +18,7 @@ from selfsim.params import (
     Regime,
     ShootingParam,
     alpha_beta_from_k,
+    positive_finite,
     regime,
 )
 
@@ -57,12 +58,11 @@ def find_k_star(
 ) -> ClassificationReport:
     """Bracket and bisect the Q1 -> Q3 transition in K.
 
-    ``tol_K`` is relative and must be positive: bisection stops once
-    K_hi - K_lo < tol_K * K_lo, or earlier, with a ``notes`` entry, if a
-    probe is unresolved or the bracket reaches float resolution.
+    ``tol_K`` is relative and must be positive and finite: bisection stops
+    once K_hi - K_lo < tol_K * K_lo, or earlier, with a ``notes`` entry, if
+    a probe is unresolved or the bracket reaches float resolution.
     """
-    if not tol_K > 0.0:
-        raise DomainError(f"tol_K must be positive, got {tol_K}")
+    tol_K = positive_finite("tol_K", tol_K)
     reg = regime(params)
     if reg is Regime.SUBCRITICAL:
         raise DomainError("no transition exists for m + p < 2")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import cubature
 from scipy.special import gamma as gamma_fn
 
-from selfsim.params import DomainError, ModelParams
+from selfsim.params import DomainError, ModelParams, positive_finite
 from selfsim.profile import Profile, ReconstructionError, evaluate_f
 
 
@@ -50,10 +50,8 @@ def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
     Uses the symmetric extension u(-r) = u(r) near the origin; accuracy
     degrades within a few h of the interface, which callers must avoid.
     """
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h}")
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"r must be positive and finite, got {r}")
+    h = positive_finite("h", h)
+    r = positive_finite("r", r)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
     params = sol.profile.params
@@ -194,6 +192,9 @@ def tw_value_on(profile: Profile, z) -> np.ndarray:
 def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
     """The five terms of the traveling-wave operator at z, by central
     differences with step h."""
+    h = positive_finite("h", h)
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
     params = tw.profile.params
     F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
     w = [v ** params.m for v in F]
@@ -213,8 +214,6 @@ def tw_residual(tw: TravelingWave, z: float, h: float) -> float:
     where a and b are the convection and reaction coefficients of the
     transformed equation.
     """
-    if not h > 0.0:
-        raise DomainError(f"h must be positive, got {h}")
     advect, diffuse, convect, react, source = _tw_terms(tw, z, h)
     return float(advect + diffuse + convect + react + source)
 

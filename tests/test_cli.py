@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,36 @@ def test_find_kstar_stall_exit_code(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["notes"] == notes
     assert notes in err
+
+
+def test_find_kstar_unresolved_probe_exit_code(capsys, monkeypatch):
+    # the real bisection, its first midpoint sqrt(8) unresolved: the report
+    # is written, and the early stop exits 3
+    def unresolved_inside(params, K):
+        if 1.0 < K < 8.0:
+            return OrbitTag.UNRESOLVED
+        return OrbitTag.TO_Q1 if K < 2.5 else OrbitTag.TO_Q3
+
+    monkeypatch.setattr("selfsim.shooting.classify", unresolved_inside)
+    code, out, err = run(capsys, "find-kstar", "--m", "2", "--p", "0.5",
+                         "--N", "4")
+    notes = "stopped at bracket width 7 (probe unresolved)"
+    assert code == 3
+    assert json.loads(out)["notes"] == notes
+    assert err == f"bisection stopped early: {notes}\n"
+
+
+def test_profile_bulk_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failed(*args, **kwargs):
+        return SimpleNamespace(status=-1, message="step size too small")
+
+    monkeypatch.setattr("selfsim.profile.solve_ivp", failed)
+    code, out, err = run(capsys, "profile", "--m", "2", "--p", "0.5",
+                         "--N", "4", "--K", "0.5", "--out",
+                         str(tmp_path / "x"))
+    assert code == 3
+    assert err == "error: bulk run failed: step size too small\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):

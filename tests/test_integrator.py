@@ -158,6 +158,24 @@ def test_monotonicity_preconditions():
         orbit_monotonicity_check(SUPER, 0.3, 0.2)
 
 
+def test_monotonicity_needs_a_common_x_range(monkeypatch):
+    # with X_BIG below the launch offset both orbits escape at their start,
+    # which leaves no X range to compare them on
+    monkeypatch.setattr(integrator, "X_BIG", 0.5 * integrator.LAUNCH_OFFSET)
+    with pytest.raises(DomainError,
+                       match="^orbits do not share a common X range$"):
+        orbit_monotonicity_check(SUPER, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("params", [CRIT, SUB], ids=["critical", "subcritical"])
+def test_bound_claims_no_stop_below_ln_x_minus_700(params):
+    # e^(-s) nears the float range there, and at ln X = -800 math.exp would
+    # raise OverflowError; just above -700 the gap is finite and negative
+    bound = integrator._stops(params, 1.0)[1][0]
+    assert bound(-700.5, (0.0,)) == bound(-800.0, (0.0,)) == -math.inf
+    assert -math.inf < bound(-699.5, (0.0,)) < 0.0
+
+
 def test_launch_requires_positive_k():
     with pytest.raises(DomainError):
         launch_from_p0(SUPER, 0.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from selfsim.params import (
@@ -9,6 +10,7 @@ from selfsim.params import (
     alpha_beta_from_k,
     alpha_star_critical,
     k_from_alpha,
+    positive_finite,
     regime,
     sigma_critical,
 )
@@ -21,10 +23,30 @@ def test_sigma_critical_values():
 
 
 @pytest.mark.parametrize("m,p", [(1.0, 0.5), (0.8, 0.5), (2.0, 0.0),
-                                 (2.0, 1.0), (2.0, 1.5)])
+                                 (2.0, 1.0), (2.0, 1.5), (math.inf, 0.5),
+                                 (math.nan, 0.5)])
 def test_sigma_critical_domain(m, p):
     with pytest.raises(DomainError):
         sigma_critical(m, p)
+    if not 1.0 < m < math.inf:
+        # alpha_star_critical holds m to the same rule; at m = inf it once
+        # returned NaN
+        with pytest.raises(DomainError, match="^m must be finite and > 1"):
+            alpha_star_critical(m)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, math.nan, math.inf,
+                               -math.inf])
+def test_positive_finite_names_the_argument(x):
+    with pytest.raises(DomainError,
+                       match=rf"^tol must be positive and finite, got {x}$"):
+        positive_finite("tol", x)
+
+
+def test_positive_finite_returns_a_python_float():
+    for x in (np.float64(2.5), 2.5, np.int64(3), 5e-324):
+        out = positive_finite("x", x)
+        assert type(out) is float and out == x
 
 
 def test_model_params_derives_sigma():

@@ -43,6 +43,16 @@ def test_negative_x_rejected_at_construction():
         PhasePoint(-0.5, 0.0)
 
 
+@pytest.mark.parametrize("X, Y, name", [
+    (math.inf, 0.0, "X"), (math.nan, 0.0, "X"), (1.0, math.inf, "Y"),
+    (1.0, -math.inf, "Y"), (1.0, math.nan, "Y"),
+])
+def test_nonfinite_phase_point_rejected_at_construction(X, Y, name):
+    # numerical_jacobian at (inf, 0) once returned an all-NaN matrix
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        PhasePoint(X, Y)
+
+
 def test_finite_points_high_dimension():
     pts = {cp.label: cp for cp in finite_critical_points(SUPER)}
     p0, p1 = pts["P0"], pts["P1"]
@@ -105,7 +115,7 @@ def test_infinity_points_critical_fold():
         assert pts[label].slope == -0.25
 
 
-@pytest.mark.parametrize("K", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf])
 def test_infinity_points_reject_nonpositive_k(K):
     with pytest.raises(DomainError):
         infinity_critical_points(SUPER, K)
@@ -218,11 +228,34 @@ def test_jacobian_central_off_axis():
 def test_jacobian_bad_step():
     with pytest.raises(DomainError):
         numerical_jacobian(PhasePoint(1.0, 0.0), SUPER, 0.1, h=0.0)
+    with pytest.raises(DomainError, match="^h must be positive and finite"):
+        numerical_jacobian(PhasePoint(1.0, 0.0), SUPER, 0.1, h=math.inf)
 
 
 def test_isocline_negative_x_rejected():
     with pytest.raises(DomainError):
         isocline(-1.0, SUPER, 0.1)
+
+
+@pytest.mark.parametrize("X", [math.inf, math.nan])
+def test_isocline_rejects_nonfinite_x(X):
+    # isocline at X = inf once returned NaN branches
+    with pytest.raises(DomainError, match="^X must be nonnegative and finite"):
+        isocline(X, SUPER, 0.1)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf])
+def test_k_entry_points_reject_k_off_the_domain(K):
+    # at K = -1 the zero crossing was once 4.0, at K = 0 a ZeroDivisionError;
+    # isocline and numerical_jacobian at K = nan returned NaN
+    calls = [lambda: planar_field(SUPER, K),
+             lambda: critical_slopes(CRIT, K),
+             lambda: isocline(1.0, SUPER, K),
+             lambda: isocline_zero_crossing(SUPER, K),
+             lambda: numerical_jacobian(PhasePoint(1.0, 0.0), SUPER, K, 1e-6)]
+    for call in calls:
+        with pytest.raises(DomainError, match="^K must be positive and finite"):
+            call()
 
 
 def test_isocline_branch_absence():

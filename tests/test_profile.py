@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ K_STAR_M5 = 14.631461298134003
 #: K* of (5, 3/4, 1) and of (5, 0.9, 4), bisected with find_k_star at tol 1e-6
 K_STAR_M5_P75_N1 = 7.488502009423945
 K_STAR_M5_N4 = 18.63344041872509
+
+
+def test_reconstruct_reports_a_failed_bulk_run(monkeypatch):
+    def failed(*args, **kwargs):
+        return SimpleNamespace(status=-1, message="step size too small")
+
+    monkeypatch.setattr(profile_module, "solve_ivp", failed)
+    with pytest.raises(ReconstructionError,
+                       match="^bulk run failed: step size too small$"):
+        reconstruct(SUPER, 0.5)
 
 
 @pytest.fixture(scope="module")

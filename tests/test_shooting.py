@@ -114,11 +114,29 @@ def _step_at(K_star):
     return tag
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_find_k_star_rejects_nonpositive_tol(monkeypatch, tol):
+    # at tol inf the report once gave K* = 2.83 from its first bracket
     monkeypatch.setattr(shooting, "classify", _step_at(2.5))
     with pytest.raises(DomainError):
         find_k_star(SUPER, tol_K=tol)
+
+
+def _unresolved_first_midpoint(params, K):
+    """``_step_at(2.5)``, but ``Unresolved`` strictly inside the first
+    bracket [1, 8] at (2, 1/2, 4), where the first midpoint sqrt(8) lies."""
+    return OrbitTag.UNRESOLVED if 1.0 < K < 8.0 else _step_at(2.5)(params, K)
+
+
+def test_find_k_star_stops_on_an_unresolved_probe(monkeypatch):
+    # one unresolved probe of three is within the guard: the bisection ends
+    # there with the bracket it has and a note
+    monkeypatch.setattr(shooting, "classify", _unresolved_first_midpoint)
+    report = find_k_star(SUPER)
+    assert report.K_star_bracket == (1.0, 8.0)
+    assert [tag for _, tag in report.K_grid] == [
+        OrbitTag.TO_Q1, OrbitTag.UNRESOLVED, OrbitTag.TO_Q3]
+    assert report.notes == "stopped at bracket width 7 (probe unresolved)"
 
 
 def test_find_k_star_stops_at_float_resolution(monkeypatch):

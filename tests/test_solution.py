@@ -109,13 +109,27 @@ def test_pde_residual_rejects_r_and_t_off_the_domain(sol_fig3a, r, t):
         pde_residual(sol_fig3a, r, t, 1e-3)
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
 def test_residuals_reject_nonpositive_h(sol_fig3a, h):
+    # tw_residual_scale once raised ZeroDivisionError at h = 0 and returned
+    # 49.3 at h = -1e-3
     tw = to_traveling_wave(sol_fig3a)
     with pytest.raises(DomainError):
         pde_residual(sol_fig3a, 0.1, 0.0, h)
     with pytest.raises(DomainError):
         tw_residual(tw, tw.support_edge - 1.0, h)
+    with pytest.raises(DomainError, match="^h must be positive and finite"):
+        tw_residual_scale(tw, tw.support_edge - 1.0, h)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_tw_residuals_reject_nonfinite_z(sol_fig3a, z):
+    # both once returned NaN at z = -inf
+    tw = to_traveling_wave(sol_fig3a)
+    with pytest.raises(DomainError, match="^z must be finite"):
+        tw_residual(tw, z, 1e-3)
+    with pytest.raises(DomainError, match="^z must be finite"):
+        tw_residual_scale(tw, z, 1e-3)
 
 
 def test_sphere_area_values():
