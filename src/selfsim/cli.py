@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,6 +25,7 @@ from selfsim.params import (
     ShootingParam,
     alpha_beta_from_k,
     k_from_alpha,
+    positive_finite,
     regime,
 )
 from selfsim.phaseplane import PhasePoint, launch_slope
@@ -149,11 +149,12 @@ def _cmd_find_kstar(params: ModelParams, args):
 
 
 def _k_grid(args) -> list[float]:
-    if not (0.0 < args.k_min < math.inf and 0.0 < args.k_max < math.inf
-            and args.k_count >= 1):
-        raise DomainError("the K grid needs finite --k-min > 0 and "
-                          "--k-max > 0, and --k-count >= 1")
-    return list(np.geomspace(args.k_min, args.k_max, args.k_count))
+    k_min = positive_finite("the K grid's --k-min", args.k_min)
+    k_max = positive_finite("the K grid's --k-max", args.k_max)
+    if args.k_count < 1:
+        raise DomainError("the K grid needs --k-count >= 1, "
+                          f"got {args.k_count}")
+    return list(np.geomspace(k_min, k_max, args.k_count))
 
 
 def _cmd_sweep(params: ModelParams, args):

@@ -278,18 +278,31 @@ def _error_norm(h: float, e5x: float, e5y: float, e3x: float,
     """DOP853's error norm of one attempt from its scaled error estimates.
 
     This is scipy's |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)), with each
-    squared norm taken as np.linalg.norm(.)**2.  Where a square overflows,
-    h e5 and h e3 are squared instead: the same norm, as h divides out.
+    squared norm taken as np.linalg.norm(.)**2.  Where the root's argument
+    leaves the float range, as where a square overflows or where e5 is 0
+    and 0.01 |e3|^2 underflows, the estimates are scaled by the largest of
+    them, b: the norm is h |e5/b|^2 / sqrt(2 (|e5/b|^2 + 0.01 |e3/b|^2)) b,
+    the same norm, as b divides out.  The scaled squares are at most 2 and
+    one of them is 1, so none overflows and the root is at least 0.14.
+    Scaled by h instead, the squares can underflow to 0 / 0, as at a first
+    step of 5e-323.  An estimate that is not finite fails the attempt: the
+    norm is inf.
     """
     r5, r3 = math.sqrt(e5x * e5x + e5y * e5y), math.sqrt(e3x * e3x + e3y * e3y)
     n5, n3 = r5 * r5, r3 * r3
     if n5 == 0.0 and n3 == 0.0:
         return 0.0
-    if n5 + n3 < math.inf:
-        return h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
-    e5x, e5y, e3x, e3y = h * e5x, h * e5y, h * e3x, h * e3y
+    den = (n5 + 0.01 * n3) * 2.0
+    if 0.0 < den < math.inf:
+        return h * n5 / math.sqrt(den)
+    if not all(map(math.isfinite, (e5x, e5y, e3x, e3y))):
+        return math.inf
+    b = max(abs(e5x), abs(e5y), abs(e3x), abs(e3y))
+    e5x, e5y, e3x, e3y = e5x / b, e5y / b, e3x / b, e3y / b
     n5, n3 = e5x * e5x + e5y * e5y, e3x * e3x + e3y * e3y
-    return n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+    # n5 / root <= 1, so its product with b is finite; h multiplies last,
+    # as a product with a subnormal h keeps few digits
+    return h * (n5 / math.sqrt((n5 + 0.01 * n3) * 2.0) * b)
 
 
 def _dense(field, t_old: float, h: float, x_old: float, y_old: float,
@@ -327,10 +340,10 @@ def _xy_phase(params: ModelParams, K: float, x: float, y: float, gap):
 
     This is scipy's DOP853 on Python floats (K, x and y must be floats): the
     same initial step, twelve stages, error norm, step-size controller and
-    7th-order dense output, except that the norm does not overflow where a
-    squared error estimate would (``_error_norm``).  An attempt through a
-    state where K X^q passes the float range meets the field's -inf there
-    and fails the error test, as in DOP853.  The events are tested at the
+    7th-order dense output, except that the norm stays in the float range
+    where scipy's squared error estimates leave it (``_error_norm``).  An
+    attempt through a state where K X^q passes the float range meets the
+    field's -inf there and fails the error test, as in DOP853.  The events are tested at the
     start and after each accepted step: X at or past ``X_BIG`` with X
     rising (Y < 2/(m-1)) is an escape, Y + 3(m-1)X + 10 at or below 0 (far
     below the Q4 ray) a plunge, and the slope-chart stop ``gap`` (the trap
@@ -597,19 +610,21 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
     Termination is a value, not an error: orbits that cannot be resolved
     within the eta and ln X budgets end with tag ``Unresolved``.
     """
-    if not start.X > 0.0:
-        raise DomainError("start.X must be positive")
+    x0 = positive_finite("start.X", start.X)
     K = positive_finite("K", K)
 
     stops = _stops(params, K)
-    eta, X, Y, event, xy_stats = _xy_phase(params, K, float(start.X),
-                                            float(start.Y), stops[1][0])
+    eta, X, Y, event, xy_stats = _xy_phase(params, K, x0, float(start.Y),
+                                            stops[1][0])
     eta, X, Y = np.array(eta), np.array(X), np.array(Y)
     stats = (xy_stats,)
     # the start is finite, so a finite sample is left
     keep = np.isfinite(X) & np.isfinite(Y)
     eta, X, Y = eta[keep], X[keep], Y[keep]
-    slope = Y[-1] / X[-1] if X[-1] > 0.0 else -math.inf
+    # in Python floats, as the X-Y phase takes Y/X: past the float range
+    # the slope is +-inf, with no warning
+    x_end, y_end = float(X[-1]), float(Y[-1])
+    slope = y_end / x_end if x_end > 0.0 else -math.inf
     if not np.all(keep):
         end = OrbitEnd(OrbitTag.UNRESOLVED, math.nan,
                        "nonfinite state during integration")
@@ -617,14 +632,14 @@ def integrate(start: PhasePoint, params: ModelParams, K: float) -> Orbit:
         end = OrbitEnd(OrbitTag.TO_Q3, slope, "plunged below the Q4 ray")
     elif event == "stop":
         _, tag, diag = stops[1]
-        end = OrbitEnd(tag, slope, _stop_diagnostics(diag, math.log(X[-1])))
+        end = OrbitEnd(tag, slope, _stop_diagnostics(diag, math.log(x_end)))
     elif event is None:
         reason = ("X-Y step size fell below its minimum" if xy_stats.status == -1
                   else "eta budget exhausted")
-        end = OrbitEnd(OrbitTag.UNRESOLVED, slope, f"{reason} at X={X[-1]:.3g}")
+        end = OrbitEnd(OrbitTag.UNRESOLVED, slope, f"{reason} at X={x_end:.3g}")
     else:
         (eta2, X2, Y2), end, slope_stats = _slope_phase(
-            params, K, math.log(X[-1]), slope, eta[-1], stops)
+            params, K, math.log(x_end), slope, eta[-1], stops)
         eta, X, Y = (np.concatenate(pair) for pair in
                      ((eta, eta2), (X, X2), (Y, Y2)))
         stats += (slope_stats,)
@@ -669,16 +684,17 @@ def orbit_monotonicity_check(params: ModelParams, K1: float, K2: float) -> bool:
     Y = 2/(m-1) and ``X_BIG``; returns True iff Y_{K2}(X) < Y_{K1}(X) on
     every grid point.
     """
-    if not 0.0 < K1 < K2:
-        raise DomainError("need 0 < K1 < K2")
+    K1, K2 = positive_finite("K1", K1), positive_finite("K2", K2)
+    if not K1 < K2:
+        raise DomainError(f"need K1 < K2, got K1 = {K1} and K2 = {K2}")
     cap = 2.0 / (params.m - 1.0)
     xs, ys = [], []
     for k in (K1, K2):
         # the X-Y phase with no stop, up to X_BIG: a trap or bound proven
         # earlier would cut the range the orbits are compared on
         start = launch_from_p0(params, k)
-        _, x, y, _, _ = _xy_phase(params, float(k), float(start.X),
-                                  float(start.Y), _no_stop)
+        _, x, y, _, _ = _xy_phase(params, k, float(start.X), float(start.Y),
+                                  _no_stop)
         x, y = np.array(x), np.array(y)
         mask = y < cap
         x, y = x[mask], y[mask]

@@ -33,6 +33,14 @@ def positive_finite(name: str, x: float) -> float:
     return float(x)
 
 
+def finite(name: str, x: float) -> float:
+    """The one owner of the rule -inf < x < inf: a ``DomainError`` naming
+    the argument ``name``, else x as a Python float."""
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be finite, got {x}")
+    return float(x)
+
+
 def _check_m(m: float) -> None:
     """The one owner of the rule on m: finite and > 1."""
     if not 1.0 < m < math.inf:

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from selfsim.params import (DomainError, ModelParams, Regime,
+from selfsim.params import (DomainError, ModelParams, Regime, finite,
                             positive_finite, regime)
 
 
@@ -25,8 +25,7 @@ def _check_phase_point(X: float, Y: float = 0.0) -> None:
     """The one owner of the phase-point rule: X >= 0, X and Y finite."""
     if not 0.0 <= X < math.inf:
         raise DomainError(f"X must be nonnegative and finite, got {X}")
-    if not math.isfinite(Y):
-        raise DomainError(f"Y must be finite, got {Y}")
+    finite("Y", Y)
 
 
 @dataclass(frozen=True)

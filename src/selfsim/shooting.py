@@ -143,11 +143,14 @@ def nonexistence_sweep(
     """Classify every K on a grid in the m + p < 2 regime.
 
     Every resolved probe is expected to end at Q3 (no interface behavior);
-    unresolved entries are kept in the grid for inspection.
+    unresolved entries are kept in the grid for inspection.  An empty grid
+    is a ``DomainError``: its report would read as "every probe ends at Q3".
     """
     reg = regime(params)
     if reg is not Regime.SUBCRITICAL:
         raise DomainError("nonexistence sweep applies to m + p < 2 only")
+    if not K_grid:
+        raise DomainError("nonexistence sweep needs a nonempty K grid")
     probes = tuple(sorted((K, classify(params, K)) for K in K_grid))
     bad = [K for K, tag in probes
            if tag not in (OrbitTag.TO_Q3, OrbitTag.UNRESOLVED)]

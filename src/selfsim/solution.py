@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import cubature
 from scipy.special import gamma as gamma_fn
 
-from selfsim.params import DomainError, ModelParams, positive_finite
+from selfsim.params import DomainError, ModelParams, finite, positive_finite
 from selfsim.profile import Profile, ReconstructionError, evaluate_f
 
 
@@ -52,8 +52,7 @@ def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
     """
     h = positive_finite("h", h)
     r = positive_finite("r", r)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
+    t = finite("t", t)
     params = sol.profile.params
     m, N, sigma, p = params.m, params.N, params.sigma, params.p
     # the five stencil points (r, t), (r, t -/+ h), (r -/+ h, t) in one call
@@ -193,8 +192,7 @@ def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
     """The five terms of the traveling-wave operator at z, by central
     differences with step h."""
     h = positive_finite("h", h)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z}")
+    z = finite("z", z)
     params = tw.profile.params
     F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
     w = [v ** params.m for v in F]

@@ -1,4 +1,6 @@
+import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,17 @@ def test_monotonicity_preconditions():
         orbit_monotonicity_check(SUPER, 0.3, 0.2)
 
 
+@pytest.mark.parametrize("K1, K2, name", [
+    (0.1, math.inf, "K2"), (math.nan, 0.2, "K1"), (0.0, 0.2, "K1"),
+    (-0.1, 0.2, "K1"),
+])
+def test_monotonicity_check_names_the_bad_k(K1, K2, name):
+    # a bad K2 was once reported as "K must be positive and finite"
+    with pytest.raises(DomainError,
+                       match=f"^{name} must be positive and finite, got "):
+        orbit_monotonicity_check(SUPER, K1, K2)
+
+
 def test_monotonicity_needs_a_common_x_range(monkeypatch):
     # with X_BIG below the launch offset both orbits escape at their start,
     # which leaves no X range to compare them on
@@ -189,7 +202,8 @@ def test_launch_and_integrate_require_finite_k():
 
 
 def test_integrate_requires_positive_start():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match="^start.X must be positive and finite, got 0.0$"):
         integrate(PhasePoint(0.0, 0.0), SUPER, 0.1)
     with pytest.raises(DomainError):
         integrate(PhasePoint(1.0, np.inf), SUPER, 0.1)
@@ -403,6 +417,67 @@ def test_every_start_returns_after_bounded_work(xy_budget):
         assert orbit.termination.tag in (OrbitTag.TO_Q1, OrbitTag.TO_Q3)
         assert orbit.stats[0].nfev < XY_BUDGET
     assert falling == 41
+
+
+@pytest.mark.parametrize("e", [
+    # a square overflows, or the sum of squares doubled does: scipy's norm
+    # of e5 = (1e154, 0) is h 1e308 / inf = 0
+    (3e170, -4e170, 1e170, 2e170), (0.0, -2.3e160, 0.0, 0.0),
+    (1e154, 0.0, 0.0, 0.0), (1e-300, 0.0, 1e200, 0.0),
+    # e5 is 0 and 0.01 |e3|^2 underflows: the root of 0
+    (0.0, 0.0, 1e-161, 0.0), (0.0, 0.0, -1e-161, 1e-161),
+])
+@pytest.mark.parametrize("h", [5e-323, 1e-3, 10.0])
+def test_error_norm_past_the_float_range_is_the_exact_norm(e, h):
+    # |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)) in decimal arithmetic,
+    # whose exponent range holds every square
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        hd, e5x, e5y, e3x, e3y = map(decimal.Decimal, (h, *e))
+        n5, n3 = e5x * e5x + e5y * e5y, e3x * e3x + e3y * e3y
+        ref = float(hd * n5 / (2 * (n5 + n3 / 100)).sqrt())
+    assert integrator._error_norm(h, *e) == pytest.approx(ref, rel=1e-15,
+                                                          abs=0.0)
+
+
+@pytest.mark.parametrize("e", [
+    (math.inf, 0.0, 0.0, 0.0), (0.0, 0.0, -math.inf, 0.0),
+    (0.0, math.nan, 0.0, 0.0), (1e300, 0.0, math.nan, 0.0),
+])
+def test_error_norm_of_a_nonfinite_estimate_fails_the_attempt(e):
+    assert integrator._error_norm(1e-3, *e) == math.inf
+
+
+@pytest.mark.parametrize("start, params, steps", [
+    (PhasePoint(1e120, 30.0), ModelParams(1.5, 0.8, 3), 157),
+    (PhasePoint(1e120, 100.0), ModelParams(1.5, 0.8, 1), 158),
+], ids=["N3", "N1"])
+def test_integrate_returns_where_the_xy_error_estimates_overflow(start,
+                                                                 params,
+                                                                 steps):
+    # X falls at these starts, so no stop is tested.  The first attempt has
+    # h = 5e-323 and an error estimate near -2.3e160, whose square
+    # overflows; the norm once squared h e instead, which underflowed to
+    # 0 / 0 and raised ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = integrate(start, params, 1.0)
+    assert orbit.termination.tag is OrbitTag.TO_Q1
+    assert orbit.termination.diagnostics == f"{TRAPPED} at ln X = 276.3"
+    (xy,) = orbit.stats
+    assert (xy.steps, xy.status) == (steps, 1)
+
+
+def test_final_slope_past_the_float_range_is_minus_inf_with_no_warning():
+    # Y/X of the start passes the float range; on numpy scalars it printed
+    # "overflow encountered in scalar divide"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = integrate(PhasePoint(1e-300, -1e10), ModelParams(2.0, 0.5, 4),
+                          1.0)
+    end = orbit.termination
+    assert end.tag is OrbitTag.TO_Q3
+    assert type(end.final_slope) is float and end.final_slope == -math.inf
 
 
 def test_slope_chart_field_does_not_overflow():

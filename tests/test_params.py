@@ -9,6 +9,7 @@ from selfsim.params import (
     Regime,
     alpha_beta_from_k,
     alpha_star_critical,
+    finite,
     k_from_alpha,
     positive_finite,
     regime,
@@ -41,6 +42,18 @@ def test_positive_finite_names_the_argument(x):
     with pytest.raises(DomainError,
                        match=rf"^tol must be positive and finite, got {x}$"):
         positive_finite("tol", x)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_finite_names_the_argument(x):
+    with pytest.raises(DomainError, match=rf"^t must be finite, got {x}$"):
+        finite("t", x)
+
+
+def test_finite_returns_a_python_float():
+    for x in (np.float64(-2.5), -2.5, 0.0, np.int64(-3), -5e-324):
+        out = finite("x", x)
+        assert type(out) is float and out == x
 
 
 def test_positive_finite_returns_a_python_float():

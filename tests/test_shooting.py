@@ -217,9 +217,9 @@ def test_nonexistence_sweep_n1():
 
 
 def test_nonexistence_sweep_empty_grid():
-    report = nonexistence_sweep(SUB, [])
-    assert report.K_grid == ()
-    assert report.K_star is None
+    # its empty report once read as "every probe ends at Q3"
+    with pytest.raises(DomainError, match="nonempty K grid"):
+        nonexistence_sweep(SUB, [])
 
 
 def test_nonexistence_sweep_rejects_supercritical():
