@@ -134,12 +134,10 @@ class Orbit:
 def launch_from_p0(params: ModelParams, K: float) -> PhasePoint:
     """Start ``LAUNCH_OFFSET`` along the distinguished direction at P0.
 
-    The offset is applied on the X axis with the second-order correction
+    The offset is applied on the X axis with the second-order correction,
+    one formula at every N,
 
         Y(X) = (2/N)*X - [K(m-1) / (N(m-1) + 2(1-p))] * X^((m-p)/(m-1))
-
-    (the 2/N slope becomes 1 for N=2 and 2 for N=1; the correction
-    coefficient formula covers all dimensions).
     """
     K = positive_finite("K", K)
     delta = LAUNCH_OFFSET

@@ -100,62 +100,24 @@ def planar_field(params: ModelParams, K: float):
 def finite_critical_points(params: ModelParams) -> list[CriticalPoint]:
     """The finite critical points with analytic eigen-data.
 
-    N >= 3: P0 = (0,0) saddle and P1 = (0, -(N-2)/m) unstable node.
-    N = 2: P0 and P1 merge into a saddle-node at the origin.
-    N = 1: P0 = (0,0) unstable node and P1 = (0, 1/m) saddle.
+    P0 = (0, 0) has eigenvalues (2, 2 - N), and P1 = (0, -(N-2)/m) has
+    ((mN - N + 2)/m, N - 2); P1 merges into P0 at N = 2.  Each kind
+    follows from the signs of its eigenvalues.
     """
     m, N = params.m, params.N
-    launch = _unit(1.0, launch_slope(params))
-    if N >= 3:
-        return [
-            CriticalPoint(
-                label="P0",
-                kind=PointKind.SADDLE,
-                eigenvalues=(2.0, 2.0 - N),
-                location=PhasePoint(0.0, 0.0),
-                launch_direction=launch,
-            ),
-            CriticalPoint(
-                label="P1",
-                kind=PointKind.UNSTABLE_NODE,
-                eigenvalues=((m * N - N + 2.0) / m, float(N - 2)),
-                location=PhasePoint(0.0, -(N - 2.0) / m),
-            ),
-        ]
-    if N == 2:
-        return [
-            CriticalPoint(
-                label="P0",
-                kind=PointKind.SADDLE_NODE,
-                eigenvalues=(2.0, 0.0),
-                location=PhasePoint(0.0, 0.0),
-                launch_direction=launch,
-            )
-        ]
-    # N == 1
-    return [
-        CriticalPoint(
-            label="P0",
-            kind=PointKind.UNSTABLE_NODE,
-            eigenvalues=(2.0, 1.0),
-            location=PhasePoint(0.0, 0.0),
-            launch_direction=launch,
-        ),
-        CriticalPoint(
-            label="P1",
-            kind=PointKind.SADDLE,
-            eigenvalues=((m + 1.0) / m, -1.0),
-            location=PhasePoint(0.0, 1.0 / m),
-        ),
-    ]
+    slope = launch_slope(params)
+    n = math.hypot(1.0, slope)
+    points = [_point("P0", (2.0, 2.0 - N), location=PhasePoint(0.0, 0.0),
+                     launch_direction=(1.0 / n, slope / n))]
+    if N != 2:
+        points.append(_point("P1", ((m * N - N + 2.0) / m, N - 2.0),
+                             location=PhasePoint(0.0, -(N - 2.0) / m)))
+    return points
 
 
 def launch_slope(params: ModelParams) -> float:
-    """Slope of the distinguished outgoing direction at P0."""
-    N = params.N
-    if N >= 3:
-        return 2.0 / N
-    return 1.0 if N == 2 else 2.0
+    """Slope 2/N of the distinguished outgoing direction at P0."""
+    return 2.0 / params.N
 
 
 def infinity_critical_points(params: ModelParams, K: float) -> list[CriticalPoint]:
@@ -168,49 +130,49 @@ def infinity_critical_points(params: ModelParams, K: float) -> list[CriticalPoin
     * m + p = 2: Q1/Q4 exist only for K <= (m-1)^2/4, with slopes the roots
       of y^2 + (m-1)y + K = 0; they coalesce into a saddle-node at equality.
     * m + p < 2: only the vertical points Q2 and Q3 survive.
+
+    Each kind follows from the signs of its eigenvalues, except the
+    supercritical Q1's.
     """
     K = positive_finite("K", K)
     m = params.m
     reg = regime(params)
-    q2 = CriticalPoint(
-        label="Q2", kind=PointKind.UNSTABLE_NODE, eigenvalues=(1.0, m), slope=math.inf
-    )
-    q3 = CriticalPoint(
-        label="Q3", kind=PointKind.STABLE_NODE, eigenvalues=(-1.0, -m), slope=-math.inf
-    )
-    if reg is Regime.SUBCRITICAL:
-        return [q2, q3]
+    points = [_point("Q2", (1.0, m), slope=math.inf),
+              _point("Q3", (-1.0, -m), slope=-math.inf)]
     if reg is Regime.SUPERCRITICAL:
-        q1 = CriticalPoint(
-            label="Q1",
-            kind=PointKind.STABLE_NODE,
-            eigenvalues=(-(m - 1.0), 0.0),
-            slope=0.0,
-        )
-        q4 = CriticalPoint(
-            label="Q4",
-            kind=PointKind.SADDLE,
-            eigenvalues=(m - 1.0, -(m - 1.0) * (m + params.p - 2.0)),
-            slope=-(m - 1.0),
-        )
-        return [q1, q2, q3, q4]
+        # the paper's stable node: its zero eigenvalue alone would read as
+        # a saddle-node
+        return [CriticalPoint(label="Q1", kind=PointKind.STABLE_NODE,
+                              eigenvalues=(-(m - 1.0), 0.0), slope=0.0),
+                *points,
+                _point("Q4", (m - 1.0, -(m - 1.0) * (m + params.p - 2.0)),
+                       slope=-(m - 1.0))]
     # critical regime: Q1/Q4 exist only while their slopes are real
-    slopes = critical_slopes(params, K)
+    slopes = critical_slopes(params, K) if reg is Regime.CRITICAL else None
     if slopes is None:
-        return [q2, q3]
+        return points
     y1, y2 = slopes
     root = y1 - y2
-    if root == 0.0:
-        kinds = (PointKind.SADDLE_NODE, PointKind.SADDLE_NODE)
+    return [_point("Q1", (-root, (m - 1.0) * y1), slope=y1), *points,
+            _point("Q4", (root, (m - 1.0) * y2), slope=y2)]
+
+
+def _point(label: str, eigenvalues: tuple[float, float],
+           **where) -> CriticalPoint:
+    """The critical point ``label`` with the kind its eigenvalue signs give:
+    a saddle-node where one is 0, a node where both signs agree, else a
+    saddle."""
+    a, b = eigenvalues
+    if a == 0.0 or b == 0.0:
+        kind = PointKind.SADDLE_NODE
+    elif a > 0.0 and b > 0.0:
+        kind = PointKind.UNSTABLE_NODE
+    elif a < 0.0 and b < 0.0:
+        kind = PointKind.STABLE_NODE
     else:
-        kinds = (PointKind.STABLE_NODE, PointKind.SADDLE)
-    q1 = CriticalPoint(
-        label="Q1", kind=kinds[0], eigenvalues=(-root, (m - 1.0) * y1), slope=y1
-    )
-    q4 = CriticalPoint(
-        label="Q4", kind=kinds[1], eigenvalues=(root, (m - 1.0) * y2), slope=y2
-    )
-    return [q1, q2, q3, q4]
+        kind = PointKind.SADDLE
+    return CriticalPoint(label=label, kind=kind, eigenvalues=eigenvalues,
+                         **where)
 
 
 def critical_slopes(params: ModelParams, K: float) -> tuple[float, float] | None:
@@ -241,32 +203,46 @@ class IsoclineBranches:
 
 
 def isocline(X: float, params: ModelParams, K: float) -> IsoclineBranches:
-    """Evaluate the Y-nullcline branches and their discriminant at X."""
+    """Evaluate the Y-nullcline branches and their discriminant at X.
+
+    A ``DomainError`` naming X and K where the discriminant leaves the float
+    range; where it stays inside, so do (m-1)X and both branches.
+    """
     _check_phase_point(X)
     K = positive_finite("K", K)
     m, N = params.m, params.N
+    try:
+        reaction = 4.0 * K * m * X**params.power_ratio
+    except OverflowError:
+        reaction = math.inf
     delta = (
         (m - 1.0) ** 2 * X * X
         + 2.0 * (m * N + 2.0 * m - N + 2.0) * X
         + (N - 2.0) ** 2
-        - 4.0 * K * m * X**params.power_ratio
+        - reaction
     )
+    if not math.isfinite(delta):
+        raise DomainError(f"isocline discriminant at X={X}, K={K} is "
+                          f"{delta}, off the float range")
     if delta < 0.0:
         return IsoclineBranches(X=X, delta=delta, Y1=None, Y2=None)
     root = math.sqrt(delta)
     base = -(N - 2.0) - (m - 1.0) * X
-    return IsoclineBranches(
-        X=X,
-        delta=delta,
-        Y1=(base + root) / (2.0 * m),
-        Y2=(base - root) / (2.0 * m),
-    )
+    return IsoclineBranches(X=X, delta=delta, Y1=(base + root) / (2.0 * m),
+                            Y2=(base - root) / (2.0 * m))
 
 
 def isocline_zero_crossing(params: ModelParams, K: float) -> float:
-    """Abscissa X0(K) = (2/K)^((m-1)/(1-p)) where the upper branch changes sign."""
+    """Abscissa X0(K) = (2/K)^((m-1)/(1-p)) where the upper branch changes
+    sign; a ``DomainError`` naming K where X0 leaves the float range."""
     K = positive_finite("K", K)
-    return (2.0 / K) ** ((params.m - 1.0) / (1.0 - params.p))
+    try:
+        X0 = (2.0 / K) ** ((params.m - 1.0) / (1.0 - params.p))
+    except OverflowError:
+        X0 = math.inf
+    if not 0.0 < X0 < math.inf:
+        raise DomainError(f"X0 at K={K} is {X0}, off the float range")
+    return X0
 
 
 def numerical_jacobian(
@@ -278,16 +254,19 @@ def numerical_jacobian(
     points.  Central differences wherever X - h stays admissible; on and
     near the invariant axis X = 0 the X-derivative takes a forward step
     (the eigenvalues there live on the diagonal, which is unaffected).
+    A ``DomainError`` naming h where a step rounds back to P (X - h does
+    only where X + h does) or an entry is not finite.
     """
     h = positive_finite("h", h)
     field = planar_field(params, K)
     x_lo, dx = (P.X - h, 2.0 * h) if P.X - h >= 0.0 else (P.X, h)
+    if P.X + h == P.X or P.Y + h == P.Y or P.Y - h == P.Y:
+        raise DomainError(f"h={h} is lost to rounding at X={P.X}, Y={P.Y}")
     fp, fm = field(P.X + h, P.Y), field(x_lo, P.Y)
     gp, gm = field(P.X, P.Y + h), field(P.X, P.Y - h)
-    return np.array([[(fp[0] - fm[0]) / dx, (gp[0] - gm[0]) / (2.0 * h)],
-                     [(fp[1] - fm[1]) / dx, (gp[1] - gm[1]) / (2.0 * h)]])
-
-
-def _unit(x: float, y: float) -> tuple[float, float]:
-    n = math.hypot(x, y)
-    return (x / n, y / n)
+    J = np.array([[(fp[0] - fm[0]) / dx, (gp[0] - gm[0]) / (2.0 * h)],
+                  [(fp[1] - fm[1]) / dx, (gp[1] - gm[1]) / (2.0 * h)]])
+    if not np.isfinite(J).all():
+        raise DomainError(f"h={h} gives a nonfinite Jacobian at X={P.X}, "
+                          f"Y={P.Y}")
+    return J

@@ -35,13 +35,27 @@ def make_solution(profile: Profile) -> EternalSolution:
 
 
 def evaluate_u(sol: EternalSolution, r, t):
-    """u(r, t) = exp(alpha*t) * f(r * exp(-beta*t)); 0 beyond the interface.
+    """u(r, t) = exp(alpha*t) * f(r * exp(-beta*t)); exactly 0 beyond the
+    interface at every t.
 
-    r >= 0 and t broadcast against each other.
+    r >= 0 and t broadcast against each other.  A ``DomainError`` naming t
+    where u leaves the float range.
     """
     t = np.asarray(t, dtype=float)
-    xi = np.asarray(r, dtype=float) * np.exp(-sol.beta * t)
-    return np.exp(sol.alpha * t) * evaluate_f(sol.profile, xi)
+    with np.errstate(over="ignore"):
+        xi = np.asarray(r, dtype=float) * np.exp(-sol.beta * t)
+        growth = np.exp(sol.alpha * t)
+    f = evaluate_f(sol.profile, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = growth * f
+    if not np.isfinite(u).all():
+        # where e^(alpha t) overflows, u is inf * 0 = NaN past the interface
+        u = np.where(f == 0.0, 0.0, u)[()]
+        bad = ~np.isfinite(u)
+        if bad.any():
+            bad_t = np.broadcast_to(t, np.shape(u))[bad][0]
+            raise DomainError(f"u at t={bad_t} is off the float range")
+    return u
 
 
 def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
@@ -194,12 +208,20 @@ def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
     h = positive_finite("h", h)
     z = finite("z", z)
     params = tw.profile.params
-    F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
-    w = [v ** params.m for v in F]
+    with np.errstate(over="ignore"):
+        F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
+    try:
+        w = [v ** params.m for v in F]
+    except OverflowError:
+        w = [math.inf] * 3
     Fp, _ = _central(*F, h)
     w_p, w_pp = _central(*w, h)
-    return (tw.c * Fp, w_pp, convection_coefficient(params) * w_p,
-            reaction_coefficient(params) * w[1], F[1] ** params.p)
+    terms = (tw.c * Fp, w_pp, convection_coefficient(params) * w_p,
+             reaction_coefficient(params) * w[1], F[1] ** params.p)
+    if not all(map(math.isfinite, terms)):
+        raise DomainError(f"traveling-wave terms at z={z} are off the float "
+                          "range")
+    return terms
 
 
 def tw_residual(tw: TravelingWave, z: float, h: float) -> float:

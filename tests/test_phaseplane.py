@@ -89,6 +89,46 @@ def test_launch_slopes():
     assert launch_slope(ModelParams(2.0, 0.5, 1)) == 2.0
 
 
+# at m = 2, P1 = (0, -(N-2)/2) has eigenvalues ((N+2)/2, N-2)
+@pytest.mark.parametrize("N, expected", [
+    (1, {"P0": (PointKind.UNSTABLE_NODE, (2.0, 1.0), 0.0),
+         "P1": (PointKind.SADDLE, (1.5, -1.0), 0.5)}),
+    (2, {"P0": (PointKind.SADDLE_NODE, (2.0, 0.0), 0.0)}),
+    (3, {"P0": (PointKind.SADDLE, (2.0, -1.0), 0.0),
+         "P1": (PointKind.UNSTABLE_NODE, (2.5, 1.0), -0.5)}),
+    (5, {"P0": (PointKind.SADDLE, (2.0, -3.0), 0.0),
+         "P1": (PointKind.UNSTABLE_NODE, (3.5, 3.0), -1.5)}),
+])
+def test_finite_points_kinds_and_eigenvalues(N, expected):
+    params = ModelParams(2.0, 0.5, N)
+    pts = {cp.label: cp for cp in finite_critical_points(params)}
+    assert set(pts) == set(expected)
+    for label, (kind, eigenvalues, Y) in expected.items():
+        cp = pts[label]
+        assert cp.kind is kind
+        assert cp.eigenvalues == eigenvalues
+        assert cp.location == PhasePoint(0.0, Y)
+    x, y = pts["P0"].launch_direction
+    assert y / x == pytest.approx(2.0 / N, rel=1e-15)
+
+
+@pytest.mark.parametrize("params, K, expected", [
+    (SUPER, 0.1, {"Q1": PointKind.STABLE_NODE, "Q2": PointKind.UNSTABLE_NODE,
+                  "Q3": PointKind.STABLE_NODE, "Q4": PointKind.SADDLE}),
+    (CRIT, 0.05, {"Q1": PointKind.STABLE_NODE, "Q2": PointKind.UNSTABLE_NODE,
+                  "Q3": PointKind.STABLE_NODE, "Q4": PointKind.SADDLE}),
+    (CRIT, 0.0625, {"Q1": PointKind.SADDLE_NODE,
+                    "Q2": PointKind.UNSTABLE_NODE,
+                    "Q3": PointKind.STABLE_NODE,
+                    "Q4": PointKind.SADDLE_NODE}),
+    (SUB, 1.0, {"Q2": PointKind.UNSTABLE_NODE, "Q3": PointKind.STABLE_NODE}),
+], ids=["supercritical", "critical", "fold", "subcritical"])
+def test_infinity_kinds(params, K, expected):
+    pts = infinity_critical_points(params, K)
+    assert [cp.label for cp in pts] == sorted(expected)
+    assert {cp.label: cp.kind for cp in pts} == expected
+
+
 def test_infinity_points_supercritical():
     pts = {cp.label: cp for cp in infinity_critical_points(SUPER, 0.1)}
     assert set(pts) == {"Q1", "Q2", "Q3", "Q4"}
@@ -113,6 +153,8 @@ def test_infinity_points_critical_fold():
     for label in ("Q1", "Q4"):
         assert pts[label].kind is PointKind.SADDLE_NODE
         assert pts[label].slope == -0.25
+    # Q1's first eigenvalue is -root, so the fold gives -0.0
+    assert math.copysign(1.0, pts["Q1"].eigenvalues[0]) == -1.0
 
 
 @pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf])
@@ -264,3 +306,29 @@ def test_isocline_branch_absence():
     assert br.delta < 0.0
     assert br.Y1 is None and br.Y2 is None
     assert isinstance(br, IsoclineBranches)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, match", [
+    (lambda: isocline(1e10, ModelParams(1.01, 0.5, 3), 1.0),
+     r"^isocline discriminant at X=10000000000\.0, K=1\.0 is -inf, off"),
+    (lambda: isocline(1e250, SUPER, 1.0),
+     r"^isocline discriminant at X=1e\+250, K=1\.0 is nan, off"),
+    (lambda: isocline_zero_crossing(SUPER, 1e-300),
+     r"^X0 at K=1e-300 is inf, off"),
+    (lambda: isocline_zero_crossing(SUPER, 1e300),
+     r"^X0 at K=1e\+300 is 0\.0, off"),
+    (lambda: numerical_jacobian(PhasePoint(1e300, 0.0), SUPER, 1.0, 1e-5),
+     r"^h=1e-05 is lost to rounding at X=1e\+300, Y=0\.0$"),
+    (lambda: numerical_jacobian(PhasePoint(1.0, 1e300), SUPER, 1.0, 1e-5),
+     r"^h=1e-05 is lost to rounding at X=1\.0, Y=1e\+300$"),
+    (lambda: numerical_jacobian(PhasePoint(1e250, 0.0), SUPER, 1.0, 1e240),
+     r"^h=1e\+240 gives a nonfinite Jacobian"),
+], ids=["isocline-q51", "isocline-x2", "x0-overflow", "x0-underflow",
+        "jacobian-x-step", "jacobian-y-step", "jacobian-nonfinite"])
+def test_values_past_the_float_range_name_the_argument(call, match):
+    # isocline and isocline_zero_crossing once raised OverflowError or
+    # returned X0 = 0; numerical_jacobian at (1e300, 0) once returned
+    # [[0, -1e300], [nan, nan]], where dX/dX is 2
+    with pytest.raises(DomainError, match=match):
+        call()

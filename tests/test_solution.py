@@ -109,6 +109,37 @@ def test_pde_residual_rejects_r_and_t_off_the_domain(sol_fig3a, r, t):
         pde_residual(sol_fig3a, r, t, 1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_u_is_zero_past_the_interface_where_growth_overflows(sol_fig3a):
+    # xi = 1e300 e^(-beta 100) lies past xi0 while e^(alpha 100) overflows;
+    # u was once inf * 0 = NaN with numpy's warnings
+    assert evaluate_u(sol_fig3a, 1e300, 100.0) == 0.0
+    u = evaluate_u(sol_fig3a, np.array([1e300, math.inf]), 100.0)
+    assert u.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, match", [
+    (lambda sol: evaluate_u(sol, np.array([1e300, 1.0]), 100.0),
+     r"^u at t=100\.0 is off the float range$"),
+    (lambda sol: pde_residual(sol, 1.0, 61.0, 1e-3),
+     r"^u at t=61\.0 is off the float range$"),
+    (lambda sol: mass_growth_rate(sol, [0.0, 70.0]), r"at t=70\.0"),
+    (lambda sol: tw_residual(to_traveling_wave(sol), -400.0, 1e-4),
+     r"^traveling-wave terms at z=-400\.0 are off the float range$"),
+    (lambda sol: tw_residual_scale(to_traveling_wave(sol), -1e3, 1e-4),
+     r"^traveling-wave terms at z=-1000\.0 are off the float range$"),
+], ids=["evaluate_u", "pde_residual", "mass_growth_rate", "tw_residual",
+        "tw_residual_scale"])
+def test_values_past_the_float_range_name_the_argument(sol_fig3a, call,
+                                                       match):
+    # e^(alpha t) and F = e^(-2z) f(e^z) overflow here; each once returned
+    # NaN, or in mass_growth_rate failed the quadrature, after numpy's
+    # overflow and invalid-value warnings
+    with pytest.raises(DomainError, match=match):
+        call(sol_fig3a)
+
+
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
 def test_residuals_reject_nonpositive_h(sol_fig3a, h):
     # tw_residual_scale once raised ZeroDivisionError at h = 0 and returned
