@@ -216,7 +216,8 @@ def _stops(params: ModelParams, K: float):
         # u falls monotonically to the plunge line: Q3.  Tested in the slope
         # chart only, where s >= ln X_BIG > 0 and E(s) is not clamped
         s_below = max(math.log(N / m1),
-                      (math.log(N * m1 + 2.0) - math.log(K)) / (q - 1.0))
+                      (math.log(N * m1 + 2.0) - math.log(K))
+                      / params.power_excess)
 
         def below(s, y):
             return min(-(y[0] + m1), s - s_below)

@@ -13,6 +13,7 @@ a strictly decreasing bijection of (0, inf) onto itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,6 +40,46 @@ def finite(name: str, x: float) -> float:
     if not -math.inf < x < math.inf:
         raise DomainError(f"{name} must be finite, got {x}")
     return float(x)
+
+
+def integer(name: str, x) -> int:
+    """The one owner of the integer rule: what ``operator.index`` accepts,
+    bool excepted, as a Python int; else a ``DomainError`` naming ``name``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {x!r}")
+
+
+def check_step(h: float, **centres: float) -> None:
+    """The one owner of the finite-difference step rule: a ``DomainError``
+    naming h where h*h underflows to 0 or a stencil point x +/- h rounds
+    back to its centre x, each centre named by its keyword.  It catches
+    only a collapsed stencil point, not a step too small for the
+    difference it feeds."""
+    if h * h == 0.0 or any(x + h == x or x - h == x
+                           for x in centres.values()):
+        where = ", ".join(f"{k}={x}" for k, x in centres.items())
+        raise DomainError(f"h={h} is lost to rounding at {where}")
+
+
+def power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where Python floats raise ``OverflowError``
+    (numpy's float64 gives inf there)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def exp(x: float) -> float:
+    """math.exp(x), or inf where it raises ``OverflowError``."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_m(m: float) -> None:
@@ -72,14 +113,22 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         sigma = sigma_critical(self.m, self.p)
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise DomainError(f"N must be a positive integer, got {self.N!r}")
+        N = integer("N", self.N)
+        if N < 1:
+            raise DomainError(f"N must be a positive integer, got {N}")
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "sigma", sigma)
 
     @property
     def power_ratio(self) -> float:
         """Exponent (m-p)/(m-1) of the fractional term in the planar system."""
         return (self.m - self.p) / (self.m - 1.0)
+
+    @property
+    def power_excess(self) -> float:
+        """q - 1 = (1-p)/(m-1) = sigma/2, exact where the difference of
+        ``power_ratio`` and 1 is not (it rounds to 0 from m = 1e16)."""
+        return 0.5 * self.sigma
 
 
 def regime(params: ModelParams) -> Regime:
@@ -103,10 +152,7 @@ def alpha_beta_from_k(params: ModelParams, K: float) -> ShootingParam:
     """Invert the K(alpha) relation: alpha = 2m*(mK)^(-(m-1)/(m-p))."""
     K = positive_finite("K", K)
     m = params.m
-    try:
-        alpha = 2.0 * m * (m * K) ** (-(m - 1.0) / (m - params.p))
-    except OverflowError:
-        alpha = math.inf
+    alpha = 2.0 * m * power(m * K, -(m - 1.0) / (m - params.p))
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"K = {K} maps to alpha = {alpha} at m = {m}, "
                           "past the float range")
@@ -118,10 +164,7 @@ def k_from_alpha(params: ModelParams, alpha: float) -> ShootingParam:
     """Forward map K = (1/m)*(2m/alpha)^((m-p)/(m-1))."""
     alpha = positive_finite("alpha", alpha)
     m = params.m
-    try:
-        K = (1.0 / m) * (2.0 * m / alpha) ** params.power_ratio
-    except OverflowError:
-        K = math.inf
+    K = (1.0 / m) * power(2.0 * m / alpha, params.power_ratio)
     if not 0.0 < K < math.inf:
         raise DomainError(f"alpha = {alpha} maps to K = {K} at m = {m}, "
                           "past the float range")

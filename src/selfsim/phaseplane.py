@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from selfsim.params import (DomainError, ModelParams, Regime, finite,
-                            positive_finite, regime)
+from selfsim.params import (DomainError, ModelParams, Regime, check_step,
+                            finite, positive_finite, power, regime)
 
 
 def _check_phase_point(X: float, Y: float = 0.0) -> None:
@@ -71,27 +71,23 @@ def planar_field(params: ModelParams, K: float):
 
     A solver may overshoot the invariant axis X = 0 by rounding; the
     fractional term then sees X clamped to 0.  At X = NaN the clamp gives
-    0, but dY is NaN through the 2X term all the same.  This is the one
-    place that handles K X^q past the float range (q = (m-p)/(m-1) passes
-    2500 as m -> 1): dY is then -inf, as numpy's float64 power gives it,
-    so a solver's step through such a state fails its error test.
+    0, but dY is NaN through the 2X term all the same.  K X^q passes the
+    float range as m -> 1 (q = (m-p)/(m-1) passes 2500): ``params.power``
+    gives inf, so dY is -inf and a solver's step through such a state fails
+    its error test.
     """
     K = positive_finite("K", K)
     m, N, q = params.m, params.N, params.power_ratio
 
     def field(X, Y):
         Xc = X if X > 0.0 else 0.0
-        try:
-            reaction = K * Xc**q
-        except OverflowError:
-            reaction = math.inf
         return (
             X * (2.0 - (m - 1.0) * Y),
             -m * Y * Y
             - (N - 2.0) * Y
             + 2.0 * X
             - (m - 1.0) * X * Y
-            - reaction,
+            - K * power(Xc, q),
         )
 
     return field
@@ -148,11 +144,10 @@ def infinity_critical_points(params: ModelParams, K: float) -> list[CriticalPoin
                 _point("Q4", (m - 1.0, -(m - 1.0) * (m + params.p - 2.0)),
                        slope=-(m - 1.0))]
     # critical regime: Q1/Q4 exist only while their slopes are real
-    slopes = critical_slopes(params, K) if reg is Regime.CRITICAL else None
-    if slopes is None:
+    rays = _critical_rays(params, K) if reg is Regime.CRITICAL else None
+    if rays is None:
         return points
-    y1, y2 = slopes
-    root = y1 - y2
+    root, y1, y2 = rays
     return [_point("Q1", (-root, (m - 1.0) * y1), slope=y1), *points,
             _point("Q4", (root, (m - 1.0) * y2), slope=y2)]
 
@@ -177,15 +172,20 @@ def _point(label: str, eigenvalues: tuple[float, float],
 
 def critical_slopes(params: ModelParams, K: float) -> tuple[float, float] | None:
     """Ray slopes (y1, y2) of Q1/Q4 in the m + p = 2 regime, or None."""
-    K = positive_finite("K", K)
+    rays = _critical_rays(params, positive_finite("K", K))
+    return None if rays is None else rays[1:]
+
+
+def _critical_rays(params: ModelParams, K: float):
+    """(root, y1, y2) of the m + p = 2 regime with root = sqrt((m-1)^2 - 4K)
+    = y1 - y2, or None where the discriminant is negative.  y1 is K/y2
+    (y1 y2 = K), which does not cancel as K -> 0, and y2 at the fold."""
     disc = (params.m - 1.0) ** 2 - 4.0 * K
     if disc < 0.0:
         return None
     root = math.sqrt(disc)
-    return (
-        0.5 * (-(params.m - 1.0) + root),
-        0.5 * (-(params.m - 1.0) - root),
-    )
+    y2 = -0.5 * ((params.m - 1.0) + root)
+    return root, (K / y2 if root > 0.0 else y2), y2
 
 
 @dataclass(frozen=True)
@@ -211,15 +211,11 @@ def isocline(X: float, params: ModelParams, K: float) -> IsoclineBranches:
     _check_phase_point(X)
     K = positive_finite("K", K)
     m, N = params.m, params.N
-    try:
-        reaction = 4.0 * K * m * X**params.power_ratio
-    except OverflowError:
-        reaction = math.inf
     delta = (
-        (m - 1.0) ** 2 * X * X
+        power(m - 1.0, 2) * X * X
         + 2.0 * (m * N + 2.0 * m - N + 2.0) * X
         + (N - 2.0) ** 2
-        - reaction
+        - 4.0 * K * m * power(X, params.power_ratio)
     )
     if not math.isfinite(delta):
         raise DomainError(f"isocline discriminant at X={X}, K={K} is "
@@ -236,10 +232,7 @@ def isocline_zero_crossing(params: ModelParams, K: float) -> float:
     """Abscissa X0(K) = (2/K)^((m-1)/(1-p)) where the upper branch changes
     sign; a ``DomainError`` naming K where X0 leaves the float range."""
     K = positive_finite("K", K)
-    try:
-        X0 = (2.0 / K) ** ((params.m - 1.0) / (1.0 - params.p))
-    except OverflowError:
-        X0 = math.inf
+    X0 = power(2.0 / K, (params.m - 1.0) / (1.0 - params.p))
     if not 0.0 < X0 < math.inf:
         raise DomainError(f"X0 at K={K} is {X0}, off the float range")
     return X0
@@ -254,14 +247,13 @@ def numerical_jacobian(
     points.  Central differences wherever X - h stays admissible; on and
     near the invariant axis X = 0 the X-derivative takes a forward step
     (the eigenvalues there live on the diagonal, which is unaffected).
-    A ``DomainError`` naming h where a step rounds back to P (X - h does
-    only where X + h does) or an entry is not finite.
+    A ``DomainError`` naming h where ``params.check_step`` rejects it at
+    P or an entry is not finite.
     """
     h = positive_finite("h", h)
+    check_step(h, X=P.X, Y=P.Y)
     field = planar_field(params, K)
     x_lo, dx = (P.X - h, 2.0 * h) if P.X - h >= 0.0 else (P.X, h)
-    if P.X + h == P.X or P.Y + h == P.Y or P.Y - h == P.Y:
-        raise DomainError(f"h={h} is lost to rounding at X={P.X}, Y={P.Y}")
     fp, fm = field(P.X + h, P.Y), field(x_lo, P.Y)
     gp, gm = field(P.X, P.Y + h), field(P.X, P.Y - h)
     J = np.array([[(fp[0] - fm[0]) / dx, (gp[0] - gm[0]) / (2.0 * h)],

@@ -32,7 +32,10 @@ from selfsim.params import (
     ModelParams,
     Regime,
     alpha_beta_from_k,
+    exp,
+    integer,
     positive_finite,
+    power,
     regime,
 )
 
@@ -243,10 +246,7 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
         converged = rest < ETA_TOL or abs(closed - rest) < CLOSED_REL * rest
     stats = PhaseStats("LSODA", int(solver.nfev), int(solver.njev),
                        len(steps), int(converged))
-    try:
-        xi0 = xi_h * math.exp(solver.y[1] + rest)
-    except OverflowError:
-        xi0 = math.inf
+    xi0 = xi_h * exp(solver.y[1] + rest)
     if not math.isfinite(c * (xi0 * xi0)):
         # the tail samples f from c xi^2 e^(-s)
         raise ReconstructionError(
@@ -355,6 +355,7 @@ def ode_residual(profile: Profile, index: int) -> float:
     (possibly nonuniform) grid: a 5-point stencil in the interior, 3-point
     next to the ends, of degree len(stencil)-1 through f^m and f at once.
     """
+    index = integer("index", index)
     xi, f = profile.xi, profile.f
     n = len(xi)
     if not 1 <= index <= n - 2:
@@ -442,10 +443,7 @@ def rescale(profile: Profile, lam: float) -> Profile:
     positive and finite.
     """
     lam = positive_finite("lambda", lam)
-    try:
-        fac = lam ** (-2.0 / (profile.params.m - 1.0))
-    except OverflowError:
-        fac = math.inf
+    fac = power(lam, -2.0 / (profile.params.m - 1.0))
     xi0 = profile.xi0 / lam
     if not (0.0 < fac < math.inf and 0.0 < xi0 < math.inf):
         raise DomainError(f"lambda = {lam} scales f by {fac} and xi0 to "

@@ -149,7 +149,7 @@ def nonexistence_sweep(
     reg = regime(params)
     if reg is not Regime.SUBCRITICAL:
         raise DomainError("nonexistence sweep applies to m + p < 2 only")
-    if not K_grid:
+    if len(K_grid) == 0:
         raise DomainError("nonexistence sweep needs a nonempty K grid")
     probes = tuple(sorted((K, classify(params, K)) for K in K_grid))
     bad = [K for K, tag in probes

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.integrate import cubature
 from scipy.special import gamma as gamma_fn
 
-from selfsim.params import DomainError, ModelParams, finite, positive_finite
+from selfsim.params import (DomainError, ModelParams, check_step, exp, finite,
+                            positive_finite, power)
 from selfsim.profile import Profile, ReconstructionError, evaluate_f
 
 
@@ -38,14 +39,24 @@ def evaluate_u(sol: EternalSolution, r, t):
     """u(r, t) = exp(alpha*t) * f(r * exp(-beta*t)); exactly 0 beyond the
     interface at every t.
 
-    r >= 0 and t broadcast against each other.  A ``DomainError`` naming t
-    where u leaves the float range.
+    r >= 0 and t broadcast against each other.  A ``DomainError`` naming
+    the first negative or NaN r, a NaN t, or a t where u leaves the float
+    range.
     """
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        xi = np.asarray(r, dtype=float) * np.exp(-sol.beta * t)
+    r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = r * np.exp(-sol.beta * t)
         growth = np.exp(sol.alpha * t)
-    f = evaluate_f(sol.profile, xi)
+    try:
+        f = evaluate_f(sol.profile, xi)
+    except DomainError:
+        bad = ~(r >= 0.0)
+        if bad.any():
+            raise DomainError(f"r must be >= 0, got {r[bad][0]}") from None
+        if np.isnan(t).any():
+            raise DomainError("t must not be NaN") from None
+        # otherwise xi is 0 * inf at r = 0 or inf * 0 at r = inf, and is r
+        f = evaluate_f(sol.profile, np.where(np.isnan(xi), r, xi))
     with np.errstate(over="ignore", invalid="ignore"):
         u = growth * f
     if not np.isfinite(u).all():
@@ -63,18 +74,25 @@ def pde_residual(sol: EternalSolution, r: float, t: float, h: float) -> float:
 
     Uses the symmetric extension u(-r) = u(r) near the origin; accuracy
     degrades within a few h of the interface, which callers must avoid.
+    A ``DomainError`` naming h where ``params.check_step`` rejects it, or
+    naming r and t where a term leaves the float range.
     """
     h = positive_finite("h", h)
     r = positive_finite("r", r)
     t = finite("t", t)
+    check_step(h, r=r, t=t)
     params = sol.profile.params
     m, N, sigma, p = params.m, params.N, params.sigma, params.p
     # the five stencil points (r, t), (r, t -/+ h), (r -/+ h, t) in one call
     u0, u_early, u_late, u_in, u_out = evaluate_u(
         sol, np.abs([r, r, r, r - h, r + h]), [t, t - h, t + h, t, t]).tolist()
     u_t, _ = _central(u_early, u0, u_late, h)
-    w_r, w_rr = _central(u_in**m, u0**m, u_out**m, h)
-    return float(u_t - w_rr - (N - 1.0) / r * w_r - r**sigma * u0**p)
+    w_r, w_rr = _central(power(u_in, m), power(u0, m), power(u_out, m), h)
+    res = u_t - w_rr - (N - 1.0) / r * w_r - power(r, sigma) * u0**p
+    if not math.isfinite(res):
+        raise DomainError(f"PDE terms at r={r}, t={t} are off the float "
+                          "range")
+    return res
 
 
 def _central(lo: float, mid: float, hi: float, h: float) -> tuple[float, float]:
@@ -121,10 +139,7 @@ def _masses(sol: EternalSolution, t_samples: list[float]) -> np.ndarray:
     """
     edges = []
     for t in t_samples:
-        try:
-            edge = sol.profile.xi0 * math.exp(sol.beta * t)
-        except OverflowError:
-            edge = math.inf
+        edge = sol.profile.xi0 * exp(sol.beta * t)
         if not 0.0 < edge < math.inf:
             raise DomainError(f"support edge at t={t} is {edge}, off the "
                               "float range")
@@ -204,16 +219,14 @@ def tw_value_on(profile: Profile, z) -> np.ndarray:
 
 def _tw_terms(tw: TravelingWave, z: float, h: float) -> tuple[float, ...]:
     """The five terms of the traveling-wave operator at z, by central
-    differences with step h."""
+    differences with a step h that ``params.check_step`` accepts."""
     h = positive_finite("h", h)
     z = finite("z", z)
+    check_step(h, z=z)
     params = tw.profile.params
     with np.errstate(over="ignore"):
         F = tw_value_on(tw.profile, np.array([z - h, z, z + h])).tolist()
-    try:
-        w = [v ** params.m for v in F]
-    except OverflowError:
-        w = [math.inf] * 3
+    w = [power(v, params.m) for v in F]
     Fp, _ = _central(*F, h)
     w_p, w_pp = _central(*w, h)
     terms = (tw.c * Fp, w_pp, convection_coefficient(params) * w_p,

@@ -681,7 +681,7 @@ def test_stops_at_the_ray_end_as_plunge_and_half_plane_trap_prove(params, K):
     _, (trapped, _, _), (below, _, _) = integrator._stops(params, K)
     ln_x_trap = (math.log(4.0 * K) - 2.0 * math.log(m1)) / (2.0 - q)
     s_below = max(math.log(params.N / m1),
-                  math.log((params.N * m1 + 2.0) / K) / (q - 1.0))
+                  math.log((params.N * m1 + 2.0) / K) / params.power_excess)
     cases = []
     for _ in range(6):
         s = rng.uniform(0.0, 20.0) + max(ln_x_trap, math.log(X_BIG))

@@ -9,9 +9,12 @@ from selfsim.params import (
     Regime,
     alpha_beta_from_k,
     alpha_star_critical,
+    exp,
     finite,
+    integer,
     k_from_alpha,
     positive_finite,
+    power,
     regime,
     sigma_critical,
 )
@@ -60,6 +63,31 @@ def test_positive_finite_returns_a_python_float():
     for x in (np.float64(2.5), 2.5, np.int64(3), 5e-324):
         out = positive_finite("x", x)
         assert type(out) is float and out == x
+
+
+@pytest.mark.parametrize("x", [True, False, np.True_, 3.0, np.float64(3.0),
+                               "3", None])
+def test_integer_rule_names_the_argument(x):
+    with pytest.raises(DomainError, match=r"^N must be an integer, got "):
+        integer("N", x)
+    with pytest.raises(DomainError, match=r"^N must be an integer, got "):
+        ModelParams(2.0, 0.5, x)
+
+
+def test_integer_rule_accepts_what_operator_index_accepts():
+    for x in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert type(integer("N", x)) is int and integer("N", x) == 3
+        # N = True was once stored as True, and np.int64(3) rejected
+        params = ModelParams(2.0, 0.5, x)
+        assert type(params.N) is int and params == ModelParams(2.0, 0.5, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_and_exp_are_inf_past_the_float_range():
+    assert power(1e200, 2.0) == math.inf and power(10.0, 400) == math.inf
+    assert power(2.0, 0.5) == 2.0**0.5 and power(1e-200, 2.0) == 0.0
+    assert exp(710.0) == math.inf and exp(1.0) == math.exp(1.0)
+    assert exp(-1e300) == 0.0
 
 
 def test_model_params_derives_sigma():

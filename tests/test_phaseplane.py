@@ -122,7 +122,11 @@ def test_finite_points_kinds_and_eigenvalues(N, expected):
                     "Q3": PointKind.STABLE_NODE,
                     "Q4": PointKind.SADDLE_NODE}),
     (SUB, 1.0, {"Q2": PointKind.UNSTABLE_NODE, "Q3": PointKind.STABLE_NODE}),
-], ids=["supercritical", "critical", "fold", "subcritical"])
+    # y1 = ((1-m) + root)/2 once cancelled to 0 here, and Q1 read as a
+    # saddle-node
+    (CRIT, 1e-20, {"Q1": PointKind.STABLE_NODE, "Q2": PointKind.UNSTABLE_NODE,
+                   "Q3": PointKind.STABLE_NODE, "Q4": PointKind.SADDLE}),
+], ids=["supercritical", "critical", "fold", "subcritical", "tiny-k"])
 def test_infinity_kinds(params, K, expected):
     pts = infinity_critical_points(params, K)
     assert [cp.label for cp in pts] == sorted(expected)
@@ -145,6 +149,18 @@ def test_infinity_points_critical_slopes():
     # beyond the fold only the vertical points remain
     pts = {cp.label: cp for cp in infinity_critical_points(CRIT, 0.1)}
     assert set(pts) == {"Q2", "Q3"}
+
+
+@pytest.mark.parametrize("K", [1e-20, 1e-300, 0.01, 0.0625 * (1 - 1e-12)])
+def test_critical_slopes_keep_their_product_and_sum(K):
+    # y1 y2 = K and y1 + y2 = -(m-1); y1 once cancelled to 0.0 below about
+    # (m-1)^2 2^-55
+    y1, y2 = critical_slopes(CRIT, K)
+    assert y1 * y2 == pytest.approx(K, rel=1e-15)
+    assert y1 + y2 == pytest.approx(-0.5, rel=1e-15)
+    q1 = infinity_critical_points(CRIT, K)[0]
+    assert q1.slope == y1 and q1.eigenvalues[1] == 0.5 * y1 < 0.0
+    assert q1.eigenvalues[0] == -math.sqrt(0.25 - 4.0 * K)
 
 
 def test_infinity_points_critical_fold():
@@ -314,6 +330,8 @@ def test_isocline_branch_absence():
      r"^isocline discriminant at X=10000000000\.0, K=1\.0 is -inf, off"),
     (lambda: isocline(1e250, SUPER, 1.0),
      r"^isocline discriminant at X=1e\+250, K=1\.0 is nan, off"),
+    (lambda: isocline(1.0, ModelParams(1e155, 0.5, 3), 1.0),
+     r"^isocline discriminant at X=1\.0, K=1\.0 is inf, off"),
     (lambda: isocline_zero_crossing(SUPER, 1e-300),
      r"^X0 at K=1e-300 is inf, off"),
     (lambda: isocline_zero_crossing(SUPER, 1e300),
@@ -324,7 +342,7 @@ def test_isocline_branch_absence():
      r"^h=1e-05 is lost to rounding at X=1\.0, Y=1e\+300$"),
     (lambda: numerical_jacobian(PhasePoint(1e250, 0.0), SUPER, 1.0, 1e240),
      r"^h=1e\+240 gives a nonfinite Jacobian"),
-], ids=["isocline-q51", "isocline-x2", "x0-overflow", "x0-underflow",
+], ids=["isocline-q51", "isocline-x2", "isocline-m2", "x0-overflow", "x0-underflow",
         "jacobian-x-step", "jacobian-y-step", "jacobian-nonfinite"])
 def test_values_past_the_float_range_name_the_argument(call, match):
     # isocline and isocline_zero_crossing once raised OverflowError or

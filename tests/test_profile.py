@@ -204,6 +204,14 @@ def test_ode_residual_index_bounds(prof_fig3a):
         ode_residual(prof_fig3a, len(prof_fig3a.xi) - 1)
 
 
+@pytest.mark.parametrize("index", [True, 1.5, np.float64(2.0)])
+def test_ode_residual_index_must_be_an_integer(prof_fig3a, index):
+    # True once raised a broadcast ValueError, 1.5 an IndexError
+    with pytest.raises(DomainError, match=r"^index must be an integer"):
+        ode_residual(prof_fig3a, index)
+    assert ode_residual(prof_fig3a, np.int64(5)) == ode_residual(prof_fig3a, 5)
+
+
 def test_profile_matches_orbit(prof_fig3a, monkeypatch):
     # push the samples through X = (alpha/2m) xi^2 f^(1-m), Y = xi f'/f and
     # compare against the phase-plane integration of the same K, kept in the

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from selfsim import shooting
@@ -220,6 +221,28 @@ def test_nonexistence_sweep_empty_grid():
     # its empty report once read as "every probe ends at Q3"
     with pytest.raises(DomainError, match="nonempty K grid"):
         nonexistence_sweep(SUB, [])
+    with pytest.raises(DomainError, match="nonempty K grid"):
+        nonexistence_sweep(SUB, np.array([]))
+
+
+def test_nonexistence_sweep_takes_an_array_grid():
+    # "if not K_grid" once raised numpy's "truth value of an array" error
+    report = nonexistence_sweep(SUB, np.array([0.1, 1.0]))
+    assert report.K_grid == nonexistence_sweep(SUB, [0.1, 1.0]).K_grid
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [1e16, 1e20, 1e100, 1e300])
+def test_classify_where_q_rounds_to_one(m):
+    # q = (m-p)/(m-1) rounds to 1.0 from about m = 1e16, and the stop below
+    # the Q4 ray once divided by q - 1 = 0: ZeroDivisionError
+    assert classify(ModelParams(m, 0.5, 3), 1.0) is OrbitTag.TO_Q1
+
+
+def test_find_k_star_where_q_rounds_to_one():
+    with pytest.raises(BracketError,
+                       match=r"no Q3-connection found below K=1000000\.0"):
+        find_k_star(ModelParams(1e16, 0.5, 3))
 
 
 def test_nonexistence_sweep_rejects_supercritical():

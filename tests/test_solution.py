@@ -55,6 +55,29 @@ def test_negative_or_nan_radius_is_rejected(sol_fig3a):
     assert evaluate_u(sol_fig3a, math.inf, 0.3) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_nan_r_or_t_is_named(sol_fig3a):
+    # both once raised "xi must be >= 0, got nan"
+    with pytest.raises(DomainError, match=r"^r must be >= 0, got nan$"):
+        evaluate_u(sol_fig3a, math.nan, 1.0)
+    with pytest.raises(DomainError, match=r"^t must not be NaN$"):
+        evaluate_u(sol_fig3a, 1.0, math.nan)
+    with pytest.raises(DomainError, match=r"^t must not be NaN$"):
+        evaluate_u(sol_fig3a, np.array([0.0, 1.0]), np.array([-200.0, math.nan]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_u_at_the_centre_where_the_radius_factor_overflows(sol_fig3a):
+    # e^(-beta t) overflows at t = -200, and xi = 0 * inf was once NaN, with
+    # numpy's invalid-value warning; u is e^(alpha t) f(0), 0 in floats
+    assert evaluate_u(sol_fig3a, 0.0, -200.0) == 0.0
+    u = evaluate_u(sol_fig3a, np.array([0.0, 1.0]), np.array([[-200.0], [0.0]]))
+    at_0 = evaluate_u(sol_fig3a, np.array([0.0, 1.0]), 0.0)
+    assert u.tolist() == [[0.0, 0.0], at_0.tolist()]
+    # r = inf past an underflowing e^(-beta t) is inf * 0; u is 0 there
+    assert evaluate_u(sol_fig3a, math.inf, 200.0) == 0.0
+
+
 def test_interface_advects(sol_fig3a):
     xi0 = sol_fig3a.profile.xi0
     for t in (-0.5, 0.0, 0.7):
@@ -124,20 +147,47 @@ def test_u_is_zero_past_the_interface_where_growth_overflows(sol_fig3a):
      r"^u at t=100\.0 is off the float range$"),
     (lambda sol: pde_residual(sol, 1.0, 61.0, 1e-3),
      r"^u at t=61\.0 is off the float range$"),
+    (lambda sol: pde_residual(sol, 1.0, 31.0, 1e-3),
+     r"^PDE terms at r=1\.0, t=31\.0 are off the float range$"),
     (lambda sol: mass_growth_rate(sol, [0.0, 70.0]), r"at t=70\.0"),
     (lambda sol: tw_residual(to_traveling_wave(sol), -400.0, 1e-4),
      r"^traveling-wave terms at z=-400\.0 are off the float range$"),
     (lambda sol: tw_residual_scale(to_traveling_wave(sol), -1e3, 1e-4),
      r"^traveling-wave terms at z=-1000\.0 are off the float range$"),
-], ids=["evaluate_u", "pde_residual", "mass_growth_rate", "tw_residual",
-        "tw_residual_scale"])
+], ids=["evaluate_u", "pde_residual", "pde_residual-u-power-m",
+        "mass_growth_rate", "tw_residual", "tw_residual_scale"])
 def test_values_past_the_float_range_name_the_argument(sol_fig3a, call,
                                                        match):
     # e^(alpha t) and F = e^(-2z) f(e^z) overflow here; each once returned
     # NaN, or in mass_growth_rate failed the quadrature, after numpy's
-    # overflow and invalid-value warnings
+    # overflow and invalid-value warnings.  At t = 31 u is finite and u^2
+    # is not: that once raised OverflowError
     with pytest.raises(DomainError, match=match):
         call(sol_fig3a)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, match", [
+    (lambda sol, tw: pde_residual(sol, 1.0, 0.0, 1e-17),
+     r"^h=1e-17 is lost to rounding at r=1\.0, t=0\.0$"),
+    (lambda sol, tw: tw_residual(tw, 1.0, 1e-17),
+     r"^h=1e-17 is lost to rounding at z=1\.0$"),
+    (lambda sol, tw: pde_residual(sol, 1.0, 0.0, 1e-170),
+     r"^h=1e-170 is lost to rounding at r=1\.0, t=0\.0$"),
+    (lambda sol, tw: pde_residual(sol, 1e-200, 0.0, 1e-170),
+     r"^h=1e-170 is lost to rounding at r=1e-200, t=0\.0$"),
+    (lambda sol, tw: tw_residual(tw, 0.0, 1e-300),
+     r"^h=1e-300 is lost to rounding at z=0\.0$"),
+    (lambda sol, tw: tw_residual_scale(tw, 0.0, 1e-300),
+     r"^h=1e-300 is lost to rounding at z=0\.0$"),
+], ids=["pde-rounding", "tw-rounding", "pde-rounding-tiny-h",
+        "pde-underflow", "tw-underflow", "tw-scale-underflow"])
+def test_step_lost_to_rounding_names_h(sol_fig3a, call, match):
+    # at h = 1e-17 the residuals once read 32.06 and 6.22, where h = 1e-3
+    # and 1e-4 give 2.6e-4 and -5.9e-8; where h*h underflows they raised
+    # ZeroDivisionError
+    with pytest.raises(DomainError, match=match):
+        call(sol_fig3a, to_traveling_wave(sol_fig3a))
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
