@@ -130,7 +130,7 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     if regime(params) is Regime.SUBCRITICAL:
         raise DomainError("profiles with interface require m + p >= 2")
     sp = alpha_beta_from_k(params, K)
-    alpha, m, q = sp.alpha, params.m, params.power_ratio
+    alpha, m, q1 = sp.alpha, params.m, params.power_excess
     eps = 1e-4 * math.sqrt(2.0 * m * params.N / (alpha * (m - 1.0)))
     c = alpha / (2.0 * m)
 
@@ -170,7 +170,7 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     def xi_of_s(s):
         # e^eta on the run, then the type II closed form it may end on
         run = xi_h * np.exp(tail(np.minimum(s, s_end))[1])
-        closed = xi0 * np.exp(-np.exp((1.0 - q) * s) / (K * (q - 1.0)))
+        closed = xi0 * np.exp(-np.exp(-q1 * s) / (K * q1))
         return np.where(s <= s_end, run, closed)
 
     # samples: uniform in xi over the bulk and uniform in s over the tail,
@@ -207,17 +207,19 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
 
     ``_rhs_slope`` carries (u, eta) in s as w = u e^((2-q)s), which tends to
     -K/(m-1) on a type II tail while u falls below any atol.  deta/ds decays
-    at least at the rate q - 1, so rest = (deta/ds)/(q-1) estimates the eta
-    still to come; on a type II tail it tends to e^((1-q)s)/(K(q-1)).  The
-    run ends once the rest is below ``ETA_TOL`` or is that closed form, which
-    the tail then follows while w relaxes at a rate (m-1)e^((2-q)s)/K that
-    soon lets rounding swamp dw/ds.  Returns the run's dense output of
-    (w, eta - ln xi_h), its ``PhaseStats``, xi0 = xi_h exp(eta + rest) and
-    the s where the rest falls below ``ETA_TOL``.  The run is stepped by
+    at least at the rate q1 = sigma/2 (``power_excess``), so rest =
+    (deta/ds)/q1 estimates the eta still to come; on a type II tail it tends
+    to e^(-q1 s)/(K q1).  The run ends once the rest is below ``ETA_TOL`` or
+    is that closed form, which the tail then follows while w relaxes at a
+    rate (m-1)e^((2-q)s)/K that soon lets rounding swamp dw/ds.  It ends
+    too at the first step where c xi^2 overflows; xi0 exceeds that xi, so
+    the float-range check after the run raises.  Returns the run's dense
+    output of (w, eta - ln xi_h), its ``PhaseStats``, xi0 =
+    xi_h exp(eta + rest) and the s where the rest falls below ``ETA_TOL``.  The run is stepped by
     hand, and each step's Nordsieck array goes into the ``_DenseRun`` that
     is its dense output.
     """
-    m, q = params.m, params.power_ratio
+    m, q, q1 = params.m, params.power_ratio, params.power_excess
     s0 = math.log(c * xi_h * xi_h) + (1.0 - m) * math.log(f_h)
     slope = _rhs_slope(params, K)
 
@@ -226,13 +228,13 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
         du, deta = slope(s, (y[0] * E, y[1]))
         return (du / E + (2.0 - q) * y[0], deta)
 
-    w0 = xi_h * g_h / f_h * math.exp((1.0 - q) * s0)
+    w0 = xi_h * g_h / f_h * math.exp(-q1 * s0)
     # stepped by hand: on solve_ivp with its end as a terminal event, the
     # same evaluations took 0.31-0.33 s per reconstruct, not 0.26 (2 cores)
     solver = LSODA(rhs, s0, [w0, 0.0], LN_X_CAP,
                    rtol=TAIL_RTOL, atol=TAIL_ATOL)
-    ts, steps, converged = [s0], [], False
-    while not converged and solver.status == "running":
+    ts, steps, converged, past = [s0], [], False, False
+    while not (converged or past) and solver.status == "running":
         message = solver.step()
         if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
             raise ReconstructionError(
@@ -241,19 +243,20 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
             )
         ts.append(solver.t)
         steps.append(solver.dense_output())
-        rest = rhs(solver.t, solver.y)[1] / (q - 1.0)
-        closed = math.exp((1.0 - q) * solver.t) / (K * (q - 1.0))
+        rest = rhs(solver.t, solver.y)[1] / q1
+        closed = math.exp(-q1 * solver.t) / (K * q1)
         converged = rest < ETA_TOL or abs(closed - rest) < CLOSED_REL * rest
+        past = not math.isfinite(c * power(xi_h * exp(solver.y[1]), 2.0))
     stats = PhaseStats("LSODA", int(solver.nfev), int(solver.njev),
                        len(steps), int(converged))
     xi0 = xi_h * exp(solver.y[1] + rest)
-    if not math.isfinite(c * (xi0 * xi0)):
+    if not math.isfinite(c * power(xi0, 2.0)):
         # the tail samples f from c xi^2 e^(-s)
         raise ReconstructionError(
             f"interface at K = {K:g} lies past the float range "
             f"(alpha xi0^2 / 2m overflows)")
     s_last = (solver.t if rest < ETA_TOL
-              else math.log(ETA_TOL * K * (q - 1.0)) / (1.0 - q))
+              else -math.log(ETA_TOL * K * q1) / q1)
     return _DenseRun(ts, steps), stats, xi0, s_last
 
 
@@ -298,10 +301,10 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
     """Series below eps, the bulk run up to the hand-off xi_h, the tail up
     to xi_last mapped back by f = (alpha xi^2 e^(-s)/2m)^(1/(m-1)), and 0
     beyond.  Newton's method inverts eta(s) on the tail run's dense output
-    with ds/deta = 2 - (m-1)Y, Y = w e^((q-1)s), the X equation of the
-    planar system, each point until its own miss is within rounding; past
-    the run, s solves ln(xi0/xi) = e^((1-q)s)/(K(q-1)) with no iteration."""
-    m, q = params.m, params.power_ratio
+    with ds/deta = 2 - (m-1)Y, Y = w e^(q1 s), q1 = sigma/2, the X equation
+    of the planar system, each point until its own miss is within rounding;
+    past the run, s solves ln(xi0/xi) = e^(-q1 s)/(K q1) with no iteration."""
+    m, q1 = params.m, params.power_excess
     power = 1.0 / (m - 1.0)
     etas = tail(tail.ts)[1]
     xi_end = xi_h * math.exp(etas[-1])
@@ -321,7 +324,7 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
             todo = np.flatnonzero(~past)
             eta = np.log(xs[todo] / xi_h)
             s = np.empty_like(xs)
-            s[past] = np.log(K * (q - 1.0) * np.log(xi0 / xs[past])) / (1 - q)
+            s[past] = -np.log(K * q1 * np.log(xi0 / xs[past])) / q1
             s[todo] = np.interp(eta, etas, tail.ts)
             for _ in range(INVERT_ITERATIONS):
                 if not todo.size:
@@ -330,7 +333,7 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
                 miss -= eta
                 keep = np.abs(miss) > 1e-15 * np.maximum(eta, 1.0)
                 todo, eta, w, miss = todo[keep], eta[keep], w[keep], miss[keep]
-                ds_deta = 2.0 - (m - 1.0) * w * np.exp((q - 1.0) * s[todo])
+                ds_deta = 2.0 - (m - 1.0) * w * np.exp(q1 * s[todo])
                 s[todo] -= miss * ds_deta
             out[far] = (alpha / (2.0 * m) * xs * xs * np.exp(-s)) ** power
         return out

@@ -432,6 +432,11 @@ def test_rescale_requires_positive_lambda(prof_mid):
     # xi0 is finite, but alpha xi^2 / 2m overflowed in the tail samples
     (SUPER, 1e-4),
     (ModelParams(1.5, 0.9, 1), 10.0**-2.5),
+    # c xi^2 leaves the float range during the tail run; stepped on, the run
+    # once reached a nonfinite state first, at ln X = 46.8, 47.9 and 40.6
+    (ModelParams(3.0, 0.9, 3), 1e-3),
+    (ModelParams(7.0, 0.9, 3), 1e-2),
+    (ModelParams(5.0, 0.9, 3), 10.0**-3.5),
 ])
 def test_interface_past_the_float_range_names_k(params, K):
     with pytest.raises(ReconstructionError,
@@ -452,12 +457,19 @@ def test_profile_past_the_float_range_names_k(params, K):
         reconstruct(params, K)
 
 
-def test_tail_failure_names_its_cause():
+def test_tail_failure_names_its_cause(monkeypatch):
     # a step that leaves the float range reports no solver message, which
-    # once printed as "(None)"
+    # once printed as "(None)"; this field turns infinite past ln X = 12
+    real = profile_module._rhs_slope
+
+    def blowing_up(params, K):
+        slope = real(params, K)
+        return lambda s, y: (math.inf, 1.0) if s > 12.0 else slope(s, y)
+
+    monkeypatch.setattr(profile_module, "_rhs_slope", blowing_up)
     with pytest.raises(ReconstructionError) as exc:
-        reconstruct(ModelParams(5.0, 0.9, 3), 10.0**-3.5)
-    assert str(exc.value) == ("slope chart tail failed at ln X = 40.6 "
+        reconstruct(SUPER, 0.5)
+    assert str(exc.value) == ("slope chart tail failed at ln X = 12.0 "
                               "(nonfinite state)")
 
 

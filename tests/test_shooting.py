@@ -256,3 +256,38 @@ def test_alpha_star_matches_analytic_formula():
         alpha_star_critical(CRIT.m), rel=1e-3
     )
     assert report.alpha_star == pytest.approx(8.0 * math.sqrt(1.5), rel=1e-3)
+
+
+def _domain_sample(count, seed=7):
+    """(m, p, N) with m + p >= 2, m log-uniform in (1.001, 200),
+    p uniform in (0.01, 0.99) and N in 1-4, by rejection."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        m = math.exp(rng.uniform(math.log(1.001), math.log(200.0)))
+        p = rng.uniform(0.01, 0.99)
+        N = int(rng.integers(1, 5))
+        if m + p >= 2.0:
+            points.append((m, p, N))
+    return points
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, p, N", _domain_sample(30),
+                         ids=lambda x: f"{x:.4g}")
+def test_find_k_star_converges_across_the_domain(m, p, N):
+    # 30 points keep this at about 1.8 s of Tier-1
+    report = find_k_star(ModelParams(m, p, N), tol_K=1e-6)
+    assert report.notes == ""
+    lo, hi = report.K_star_bracket
+    assert hi - lo < 1e-6 * lo
+
+
+def test_k_star_tends_to_the_critical_value_as_m_plus_p_falls_to_2():
+    # off the critical line K* has no closed form, but it tends to the
+    # critical (m-1)^2/4 = 1/16 as p -> 1/2 from above at m = 1.5
+    gaps = [abs(find_k_star(ModelParams(1.5, 0.5 + delta, 1),
+                            tol_K=1e-8).K_star - 0.0625)
+            for delta in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6)]
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[-1] < 2e-5, gaps
