@@ -154,7 +154,7 @@ def _k_grid(args) -> list[float]:
     if args.k_count < 1:
         raise DomainError("the K grid needs --k-count >= 1, "
                           f"got {args.k_count}")
-    return list(np.geomspace(k_min, k_max, args.k_count))
+    return np.geomspace(k_min, k_max, args.k_count).tolist()
 
 
 def _cmd_sweep(params: ModelParams, args):
@@ -168,7 +168,7 @@ def _cmd_sweep(params: ModelParams, args):
         # looked up at call time, so a patched shooting.classify is seen
         probes = tuple(sorted((K, shooting.classify(params, K)) for K in grid))
         notes = ""
-    unresolved = [float(K) for K, t in probes if t is OrbitTag.UNRESOLVED]
+    unresolved = [K for K, t in probes if t is OrbitTag.UNRESOLVED]
     if unresolved:
         notes += ("; " if notes else "") + f"unresolved at K={unresolved}"
     fields = {

@@ -154,7 +154,7 @@ def _rhs_slope(params: ModelParams, K: float):
     m, N, q = params.m, params.N, params.power_ratio
 
     def rhs(s, y):
-        u = y[0]
+        u = float(y[0])
         inv_x = math.exp(-s)
         frac = K * math.exp(min((q - 2.0) * s, 700.0))
         num = -(u * u + (m - 1.0) * u) - frac - (N * u - 2.0) * inv_x
@@ -189,7 +189,7 @@ def _stops(params: ModelParams, K: float):
     reg = regime(params)
 
     def plunged(s, y):
-        return -(y[0] + 3.0 * m1)
+        return -(float(y[0]) + 3.0 * m1)
 
     stops = [(plunged, OrbitTag.TO_Q3, "plunged below the Q4 ray (slope chart)")]
     if reg is Regime.SUPERCRITICAL:
@@ -206,7 +206,7 @@ def _stops(params: ModelParams, K: float):
         ln_x_trap = (math.log(4.0 * K) - 2.0 * math.log(m1)) / (2.0 - q)
 
         def trapped(s, y):
-            u = y[0]
+            u = float(y[0])
             E = K * math.exp(min((q - 2.0) * s, 700.0))
             return min(max(u + 0.5 * m1, -(u * (u + m1) + E)), s - ln_x_trap)
 
@@ -220,7 +220,7 @@ def _stops(params: ModelParams, K: float):
                       / params.power_excess)
 
         def below(s, y):
-            return min(-(y[0] + m1), s - s_below)
+            return min(-(float(y[0]) + m1), s - s_below)
 
         stops += [(trapped, OrbitTag.TO_Q1,
                    "trapped above the lower root of u^2 + (m-1)u + K X^(q-2) "
@@ -247,7 +247,7 @@ def _stops(params: ModelParams, K: float):
         y2 = slopes[1]
 
         def above_y2(s, y):
-            return y[0] - y2
+            return float(y[0]) - y2
 
         stops.append((above_y2, OrbitTag.TO_Q1,
                       f"trapped above the Q4 slope {y2:.6g} at ln X = {{:.1f}}"))
@@ -598,7 +598,7 @@ def _slope_phase(params: ModelParams, K: float, s0: float, u0: float,
     with np.errstate(over="ignore"):
         X = np.exp(s[1:])
         Y = u[1:] * X
-    return ((eta[1:], X, Y), OrbitEnd(tag, u[-1], diag),
+    return ((eta[1:], X, Y), OrbitEnd(tag, float(u[-1]), diag),
             PhaseStats("LSODA", int(sol.nfev), int(sol.njev), len(sol.t) - 1,
                        int(sol.status)))
 

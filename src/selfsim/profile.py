@@ -25,8 +25,8 @@ import numpy as np
 from scipy.integrate import LSODA, solve_ivp
 from scipy.optimize import minimize_scalar
 
-from selfsim.integrator import (ABS_TOL, LN_X_CAP, REL_TOL, X_BIG,
-                                 PhaseStats, _rhs_slope)
+from selfsim import integrator
+from selfsim.integrator import PhaseStats, _rhs_slope
 from selfsim.params import (
     DomainError,
     ModelParams,
@@ -40,9 +40,6 @@ from selfsim.params import (
 )
 
 
-#: tolerances of the tail, 100 times tighter than the REL_TOL and ABS_TOL of
-#: the bulk: an error d(eta) moves ln f by |Y| d(eta), and |Y| passes 100
-TAIL_RTOL, TAIL_ATOL = 1e-12, 1e-14
 #: the tail ends once the rest of eta = ln xi is below ETA_TOL, its run there
 #: or once the rest is the type II closed form to CLOSED_REL, relative
 ETA_TOL, CLOSED_REL = 1e-8, 1e-15
@@ -94,26 +91,31 @@ class Profile:
 
 def _seed(params: ModelParams, alpha: float, xi):
     """The series f = (1 + c xi^2)^(1/(m-1)), c = alpha (m-1) / (2mN), and
-    its derivative f' at xi, a float or an array."""
+    its derivative f' at xi, a float or an array, by ``params.power``."""
     m = params.m
     c = alpha * (m - 1.0) / (2.0 * m * params.N)
     base = 1.0 + c * xi * xi
-    f = base ** (1.0 / (m - 1.0))
-    fp = (2.0 * c * xi / (m - 1.0)) * base ** ((2.0 - m) / (m - 1.0))
+    f = power(base, 1.0 / (m - 1.0))
+    fp = (2.0 * c * xi / (m - 1.0)) * power(base, (2.0 - m) / (m - 1.0))
     return f, fp
 
 
 def _rhs(params: ModelParams, alpha: float, beta: float):
+    """The bulk's field in Python floats, each power by ``params.power``;
+    f'' is NaN off the ODE's domain (f <= 0, f^(m-1) at 0 or inf), as numpy
+    gave, so a step there fails LSODA's error test."""
     m, N, sigma, p = params.m, params.N, params.sigma, params.p
 
     def rhs(xi, y):
-        f, g = y
-        w1 = m * f ** (m - 1.0)
+        f, g = float(y[0]), float(y[1])
+        w1 = m * power(f, m - 1.0) if f > 0.0 else 0.0
+        if not 0.0 < w1 < math.inf:
+            return (g, math.nan)
         acc = (
             alpha * f
             - beta * xi * g
-            - xi**sigma * f**p
-            - m * (m - 1.0) * f ** (m - 2.0) * g * g
+            - power(xi, sigma) * power(f, p)
+            - m * (m - 1.0) * power(f, m - 2.0) * g * g
             - (N - 1.0) / xi * w1 * g
         )
         return (g, acc / w1)
@@ -134,22 +136,29 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     eps = 1e-4 * math.sqrt(2.0 * m * params.N / (alpha * (m - 1.0)))
     c = alpha / (2.0 * m)
 
+    past_range = f"profile at K = {K:g} lies past the float range (f overflows)"
+    seed = _seed(params, alpha, eps)
+    if not math.isfinite(sum(seed)):
+        raise ReconstructionError(past_range)
+
     def ev_hand_off(xi, y):
         # X rising through X_BIG, written without dividing by f
-        return c * xi * xi - X_BIG * max(y[0], 0.0) ** (m - 1.0)
+        f = float(y[0])
+        return c * xi * xi - integrator.X_BIG * power(max(f, 0.0), m - 1.0)
 
     ev_hand_off.terminal = True
     ev_hand_off.direction = 1.0
 
-    # X grows like xi^2 while f stays bounded, so the hand-off always comes
+    # X grows like xi^2 while f stays bounded, so the hand-off comes unless
+    # f^(m-1) leaves the float range first
     try:
         bulk = solve_ivp(
             _rhs(params, alpha, sp.beta),
             (eps, math.inf),
-            _seed(params, alpha, eps),
+            seed,
             method="LSODA",
-            rtol=REL_TOL,
-            atol=ABS_TOL,
+            rtol=integrator.REL_TOL,
+            atol=integrator.ABS_TOL,
             events=[ev_hand_off],
             dense_output=True,
         )
@@ -160,11 +169,13 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
             f"bulk run at K = {K:g} failed to locate its hand-off ({exc})"
         ) from exc
     if bulk.status != 1:
-        raise ReconstructionError(f"bulk run failed: {bulk.message}")
+        raise ReconstructionError(
+            f"bulk run at K = {K:g} reached xi = inf without its hand-off"
+            if bulk.status == 0 else f"bulk run failed: {bulk.message}")
     xi_h = float(bulk.t[-1])
     body = _DenseRun(bulk.sol.ts, bulk.sol.interpolants)
     tail, tail_stats, xi0, s_last = _slope_tail(params, K, xi_h,
-                                                *bulk.y[:, -1], c)
+                                                *bulk.y[:, -1].tolist(), c)
     s_end = tail.ts[-1]
 
     def xi_of_s(s):
@@ -184,8 +195,7 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
                             ** (1 / (m - 1))])
     if not np.all(np.isfinite(f)):
         # as m -> 1 the power 1/(m-1) lifts f past the float range
-        raise ReconstructionError(
-            f"profile at K = {K:g} lies past the float range (f overflows)")
+        raise ReconstructionError(past_range)
     xi = np.concatenate([xi, xi_tail])
     return Profile(
         params=params,
@@ -224,15 +234,18 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
     slope = _rhs_slope(params, K)
 
     def rhs(s, y):
+        w, eta = float(y[0]), float(y[1])
         E = math.exp((q - 2.0) * s)
-        du, deta = slope(s, (y[0] * E, y[1]))
-        return (du / E + (2.0 - q) * y[0], deta)
+        du, deta = slope(s, (w * E, eta))
+        return (du / E + (2.0 - q) * w, deta)
 
     w0 = xi_h * g_h / f_h * math.exp(-q1 * s0)
     # stepped by hand: on solve_ivp with its end as a terminal event, the
-    # same evaluations took 0.31-0.33 s per reconstruct, not 0.26 (2 cores)
-    solver = LSODA(rhs, s0, [w0, 0.0], LN_X_CAP,
-                   rtol=TAIL_RTOL, atol=TAIL_ATOL)
+    # same evaluations took 0.31-0.33 s per reconstruct, not 0.26 (2 cores);
+    # tolerances a 100th of the bulk's: |Y| > 100 scales an eta error in ln f
+    solver = LSODA(rhs, s0, [w0, 0.0], integrator.LN_X_CAP,
+                   rtol=integrator.REL_TOL / 100.0,
+                   atol=integrator.ABS_TOL / 100.0)
     ts, steps, converged, past = [s0], [], False, False
     while not (converged or past) and solver.status == "running":
         message = solver.step()

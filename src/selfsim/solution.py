@@ -44,19 +44,16 @@ def evaluate_u(sol: EternalSolution, r, t):
     range.
     """
     r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    bad = ~(r >= 0.0)
+    if bad.any():
+        raise DomainError(f"r must be >= 0, got {r[bad][0]}")
+    if np.isnan(t).any():
+        raise DomainError("t must not be NaN")
     with np.errstate(over="ignore", invalid="ignore"):
         xi = r * np.exp(-sol.beta * t)
         growth = np.exp(sol.alpha * t)
-    try:
-        f = evaluate_f(sol.profile, xi)
-    except DomainError:
-        bad = ~(r >= 0.0)
-        if bad.any():
-            raise DomainError(f"r must be >= 0, got {r[bad][0]}") from None
-        if np.isnan(t).any():
-            raise DomainError("t must not be NaN") from None
-        # otherwise xi is 0 * inf at r = 0 or inf * 0 at r = inf, and is r
-        f = evaluate_f(sol.profile, np.where(np.isnan(xi), r, xi))
+    # xi is NaN only as 0 * inf at r = 0 or inf * 0 at r = inf, and is r there
+    f = evaluate_f(sol.profile, np.where(np.isnan(xi), r, xi))
     with np.errstate(over="ignore", invalid="ignore"):
         u = growth * f
     if not np.isfinite(u).all():

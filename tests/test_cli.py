@@ -171,6 +171,11 @@ def test_sweep_rejects_bad_k_grid(tmp_path, capsys, monkeypatch, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_grid_is_python_floats():
+    args = SimpleNamespace(k_min=0.01, k_max=100.0, k_count=5)
+    assert [type(k) for k in cli._k_grid(args)] == [float] * 5
+
+
 def test_profile_files(tmp_path, capsys):
     prefix = str(tmp_path / "prof")
     code, _, _ = run(capsys, "profile", "--m", "2", "--p", "0.5", "--N", "4",

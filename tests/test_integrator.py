@@ -571,6 +571,17 @@ def test_numpy_scalar_k_steps_as_a_float():
     assert orbit.stats == ref.stats
 
 
+@pytest.mark.parametrize("params, K", [(SUPER, 0.5), (CRIT, 0.05), (SUB, 1.0)],
+                         ids=["supercritical", "critical", "subcritical"])
+def test_slope_chart_callbacks_return_python_floats(params, K):
+    # LSODA passes its state as a numpy array; the field and every stop gap
+    # unpack it as Python floats, so numpy's scalar rules never apply
+    state = np.array([-0.25, 1.5])
+    assert [type(v) for v in _rhs_slope(params, K)(5.0, state)] == [float] * 2
+    for gap, _, _ in integrator._stops(params, K):
+        assert type(gap(5.0, state)) is float, gap.__name__
+
+
 @pytest.mark.parametrize("start, tag, diagnostics, status", [
     (PhasePoint(1e300, -1e300), OrbitTag.UNRESOLVED,
      "start at ln X = 690.8 is past the ln X cap 600.0", 0),
@@ -755,6 +766,8 @@ def test_every_ending_of_integrate(start, params, K, eta_max, tag, diagnostics,
     end = orbit.termination
     assert end.tag is tag
     assert end.diagnostics.startswith(diagnostics)
+    # LSODA's slope once came back as np.float64
+    assert type(end.final_slope) is float
     assert len(orbit.stats) == phases
     assert len(orbit.eta) == 1 + sum(phase.steps for phase in orbit.stats)
     assert len(orbit.X) == len(orbit.Y) == len(orbit.eta)

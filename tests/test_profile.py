@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
 
+from selfsim import integrator
 from selfsim import profile as profile_module
 from selfsim.params import DomainError, ModelParams, alpha_beta_from_k
 from selfsim.profile import (
@@ -455,6 +457,79 @@ def test_profile_past_the_float_range_names_k(params, K):
     with pytest.raises(ReconstructionError,
                        match=f"^profile at K = {K:g} lies past the float"):
         reconstruct(params, K)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("m", [1.001, 1.0000001, 1.0 + 1e-12])
+def test_critical_line_near_m_1_names_k(m, N):
+    # xi^sigma in the bulk's field, or the seed's power 1/(m-1), once raised
+    # a raw OverflowError here; the seed now passes the float range from
+    # m = 1 + 1e-11, and nearer 1 f^(m-1) leaves it along the bulk
+    with pytest.raises(ReconstructionError, match=r"at K = 1 "):
+        reconstruct(ModelParams(m, 2.0 - m, N), 1.0)
+
+
+@pytest.mark.parametrize("m, K", [(1e6, 0.1), (1e8, 0.1), (1e16, 1.0)])
+def test_large_m_bulk_names_k_with_no_warning(m, K):
+    # f^(m-1) leaves the float range along the bulk, which then runs to
+    # xi = inf; numpy's powers once warned here, and the error read "bulk
+    # run failed: The solver successfully reached the end of the
+    # integration interval."
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError,
+                           match=f"^bulk run at K = {K:g} reached xi = inf"):
+            reconstruct(ModelParams(m, 0.5, 3), K)
+
+
+def test_profile_callbacks_return_python_floats(monkeypatch):
+    # LSODA passes its state as a numpy array; the bulk's field, its
+    # hand-off event and the tail's field unpack it as Python floats
+    seen = {}
+    solve_ivp, lsoda = profile_module.solve_ivp, profile_module.LSODA
+
+    def spy_solve_ivp(fun, *args, events, **kwargs):
+        seen["bulk"], seen["hand-off"] = fun, events[0]
+        return solve_ivp(fun, *args, events=events, **kwargs)
+
+    def spy_lsoda(fun, *args, **kwargs):
+        seen["tail"] = fun
+        return lsoda(fun, *args, **kwargs)
+
+    monkeypatch.setattr(profile_module, "solve_ivp", spy_solve_ivp)
+    monkeypatch.setattr(profile_module, "LSODA", spy_lsoda)
+    reconstruct(SUPER, 0.5)
+    state = np.array([0.5, -0.25])
+    for name in ("bulk", "tail"):
+        assert [type(v) for v in seen[name](5.0, state)] == [float] * 2, name
+    assert type(seen["hand-off"](5.0, state)) is float
+    alpha = alpha_beta_from_k(SUPER, 0.5).alpha
+    seed = profile_module._seed(SUPER, alpha, 1e-3)
+    assert [type(v) for v in seed] == [float] * 2
+
+
+@pytest.mark.parametrize("params, f", [
+    (SUPER, -0.1), (SUPER, 0.0), (SUPER, math.nan),
+    # f^(m-1) underflows to 0 and overflows to inf
+    (ModelParams(1e8, 0.5, 3), 0.5), (ModelParams(1e8, 0.5, 3), 2.0),
+])
+def test_bulk_field_is_nan_off_its_domain(params, f):
+    # numpy's powers returned NaN here with a warning; Python floats would
+    # give a complex power or a ZeroDivisionError
+    rhs = profile_module._rhs(params, 1.0, 0.5 * (params.m - 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, acc = rhs(1.0, np.array([f, -0.5]))
+    assert g == -0.5 and math.isnan(acc)
+
+
+def test_profile_reads_the_tolerances_at_call_time(prof_fig3a, monkeypatch):
+    # the bulk runs at integrator.REL_TOL and the tail at a 100th of it
+    monkeypatch.setattr(integrator, "REL_TOL", integrator.REL_TOL / 2.0)
+    halved = reconstruct(SUPER, 0.1).stats
+    assert len(halved) == len(prof_fig3a.stats) == 2
+    for old, new in zip(prof_fig3a.stats, halved):
+        assert new.nfev != old.nfev
 
 
 def test_tail_failure_names_its_cause(monkeypatch):
