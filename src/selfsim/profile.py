@@ -82,7 +82,8 @@ class Profile:
     xi: np.ndarray
     f: np.ndarray
     xi0: float
-    #: f on a 1-d array of xi >= 0, as built by reconstruct or rescale
+    #: f on an array of xi >= 0 of any shape, such as the (n, k) grids of
+    #: ``solution._masses``, as built by reconstruct or rescale
     _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False,
                                                       compare=False)
     #: one record per LSODA run of ``reconstruct``: the bulk, then the tail
@@ -171,9 +172,11 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     if bulk.status != 1:
         raise ReconstructionError(
             f"bulk run at K = {K:g} reached xi = inf without its hand-off"
-            if bulk.status == 0 else f"bulk run failed: {bulk.message}")
+            if bulk.status == 0
+            else f"bulk run at K = {K:g} failed: {bulk.message}")
     xi_h = float(bulk.t[-1])
-    body = _DenseRun(bulk.sol.ts, bulk.sol.interpolants)
+    # the bulk is read for f alone, the tail for w and eta
+    body = _DenseRun(bulk.sol.ts, bulk.sol.interpolants, 1)
     tail, tail_stats, xi0, s_last = _slope_tail(params, K, xi_h,
                                                 *bulk.y[:, -1].tolist(), c)
     s_end = tail.ts[-1]
@@ -249,20 +252,21 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
     ts, steps, converged, past = [s0], [], False, False
     while not (converged or past) and solver.status == "running":
         message = solver.step()
-        if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
+        y = solver.y.tolist()
+        if solver.status == "failed" or not all(map(math.isfinite, y)):
             raise ReconstructionError(
                 f"slope chart tail failed at ln X = {solver.t:.1f} "
                 f"({message or 'nonfinite state'})"
             )
         ts.append(solver.t)
         steps.append(solver.dense_output())
-        rest = rhs(solver.t, solver.y)[1] / q1
+        rest = rhs(solver.t, y)[1] / q1
         closed = math.exp(-q1 * solver.t) / (K * q1)
         converged = rest < ETA_TOL or abs(closed - rest) < CLOSED_REL * rest
-        past = not math.isfinite(c * power(xi_h * exp(solver.y[1]), 2.0))
+        past = not math.isfinite(c * power(xi_h * exp(y[1]), 2.0))
     stats = PhaseStats("LSODA", int(solver.nfev), int(solver.njev),
                        len(steps), int(converged))
-    xi0 = xi_h * exp(solver.y[1] + rest)
+    xi0 = xi_h * exp(y[1] + rest)
     if not math.isfinite(c * power(xi0, 2.0)):
         # the tail samples f from c xi^2 e^(-s)
         raise ReconstructionError(
@@ -270,7 +274,7 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
             f"(alpha xi0^2 / 2m overflows)")
     s_last = (solver.t if rest < ETA_TOL
               else -math.log(ETA_TOL * K * q1) / q1)
-    return _DenseRun(ts, steps), stats, xi0, s_last
+    return _DenseRun(ts, steps, 2), stats, xi0, s_last
 
 
 class _DenseRun:
@@ -280,26 +284,33 @@ class _DenseRun:
     sum_j yh[i, :, j] ((x - t[i]) / h[i])^j of scipy's ``LsodaDenseOutput``,
     where t[i] is the solver's t after the step (past ts[-1] on the last
     step of a run cut by an event), h[i] the step size and yh[i] the
-    Nordsieck array, zero-padded to the run's highest order.  A point on a
-    step end takes the step that ends there, and a point outside
-    [ts[0], ts[-1]] the nearest step.
+    Nordsieck array, zero-padded to the run's highest order.  Only the
+    first ``n_states`` components are kept, the ones the run is read for.
+    A point on a step end takes the step that ends there, and a point
+    outside [ts[0], ts[-1]] the nearest step.
     """
 
-    def __init__(self, ts, steps) -> None:
+    def __init__(self, ts, steps, n_states: int) -> None:
         self.ts = np.asarray(ts, dtype=float)
         self.t = np.array([step.t for step in steps])
         self.h = np.array([step.h for step in steps])
         n_coef = max(len(step.p) for step in steps)
-        self.yh = np.zeros((len(steps), len(steps[0].yh), n_coef))
+        self.yh = np.zeros((len(steps), n_states, n_coef))
         for i, step in enumerate(steps):
-            self.yh[i, :, :len(step.p)] = step.yh
+            self.yh[i, :, :len(step.p)] = step.yh[:n_states]
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """The step that evaluates each point of x: the count of inner step
+        ends below it, so an end takes the step that ends there and a point
+        outside the run the nearest step."""
+        return np.searchsorted(self.ts[1:-1], x)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The run's state at a 1-d array x, shape (n_states, len(x))."""
+        """The kept states at a 1-d array x, shape (n_states, len(x))."""
         out = np.empty((self.yh.shape[1], len(x)))
         for lo in range(0, len(x), DENSE_SLICE):
             xs = x[lo:lo + DENSE_SLICE]
-            i = np.clip(np.searchsorted(self.ts, xs) - 1, 0, len(self.t) - 1)
+            i = self.step(xs)
             # powers by products: the ratio is negative, and ** on negative
             # bases goes through libm's slow pow
             z = np.vander((xs - self.t[i]) / self.h[i], self.yh.shape[2],
@@ -316,40 +327,57 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
     beyond.  Newton's method inverts eta(s) on the tail run's dense output
     with ds/deta = 2 - (m-1)Y, Y = w e^(q1 s), q1 = sigma/2, the X equation
     of the planar system, each point until its own miss is within rounding;
-    past the run, s solves ln(xi0/xi) = e^(-q1 s)/(K q1) with no iteration."""
+    past the run, s solves ln(xi0/xi) = e^(-q1 s)/(K q1) with no iteration.
+    The evaluator takes an array of any shape; a batch within one piece goes
+    to it whole, a mixed batch point by point through masks."""
     m, q1 = params.m, params.power_excess
     power = 1.0 / (m - 1.0)
     etas = tail(tail.ts)[1]
     xi_end = xi_h * math.exp(etas[-1])
 
+    def run_f(xs):
+        # f at a 1-d array in (xi_h, xi_last]
+        past = xs > xi_end
+        todo = np.flatnonzero(~past)
+        eta = np.log(xs[todo] / xi_h)
+        s = np.empty_like(xs)
+        s[past] = -np.log(K * q1 * np.log(xi0 / xs[past])) / q1
+        s[todo] = np.interp(eta, etas, tail.ts)
+        for _ in range(INVERT_ITERATIONS):
+            if not todo.size:
+                break
+            w, miss = tail(s[todo])
+            miss -= eta
+            keep = np.abs(miss) > 1e-15 * np.maximum(eta, 1.0)
+            todo, eta, w, miss = todo[keep], eta[keep], w[keep], miss[keep]
+            ds_deta = 2.0 - (m - 1.0) * w * np.exp(q1 * s[todo])
+            s[todo] -= miss * ds_deta
+        return (alpha / (2.0 * m) * xs * xs * np.exp(-s)) ** power
+
+    # f on each piece in order of xi: the series head, the bulk run, the
+    # tail, and 0 past xi_last
+    pieces = (lambda xs: _seed(params, alpha, xs)[0], lambda xs: bulk(xs)[0],
+              run_f, np.zeros_like)
+
+    def piece(x):
+        # the index into pieces of each point of x, an array or a scalar
+        return (x >= eps).astype(np.intp) + (x > xi_h) + (x > xi_last)
+
     def f_of(x):
-        out = np.zeros_like(x)
-        head = x < eps
-        if np.any(head):
-            out[head] = _seed(params, alpha, x[head])[0]
-        mid = (x >= eps) & (x <= xi_h)
-        if np.any(mid):
-            out[mid] = bulk(x[mid])[0]
-        far = (x > xi_h) & (x <= xi_last)
-        if np.any(far):
-            xs = x[far]
-            past = xs > xi_end
-            todo = np.flatnonzero(~past)
-            eta = np.log(xs[todo] / xi_h)
-            s = np.empty_like(xs)
-            s[past] = -np.log(K * q1 * np.log(xi0 / xs[past])) / q1
-            s[todo] = np.interp(eta, etas, tail.ts)
-            for _ in range(INVERT_ITERATIONS):
-                if not todo.size:
-                    break
-                w, miss = tail(s[todo])
-                miss -= eta
-                keep = np.abs(miss) > 1e-15 * np.maximum(eta, 1.0)
-                todo, eta, w, miss = todo[keep], eta[keep], w[keep], miss[keep]
-                ds_deta = 2.0 - (m - 1.0) * w * np.exp(q1 * s[todo])
-                s[todo] -= miss * ds_deta
-            out[far] = (alpha / (2.0 * m) * xs * xs * np.exp(-s)) ** power
-        return out
+        flat = x.ravel()
+        if not flat.size:
+            return np.zeros_like(x)
+        lo, hi = piece(flat.min()), piece(flat.max())
+        if lo == hi:
+            # the pieces are intervals in order, so every point lies in it
+            return pieces[lo](flat).reshape(x.shape)
+        which = piece(flat)
+        out = np.zeros_like(flat)  # already f past xi_last
+        for k in range(lo, min(hi, 2) + 1):
+            sel = which == k
+            if sel.any():
+                out[sel] = pieces[k](flat[sel])
+        return out.reshape(x.shape)
 
     return f_of
 

@@ -325,7 +325,7 @@ def test_profile_bulk_failure_exit_code(tmp_path, capsys, monkeypatch):
                          "--N", "4", "--K", "0.5", "--out",
                          str(tmp_path / "x"))
     assert code == 3
-    assert err == "error: bulk run failed: step size too small\n"
+    assert err == "error: bulk run at K = 0.5 failed: step size too small\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -26,6 +26,7 @@ from selfsim.profile import (
     reconstruct,
     rescale,
 )
+from selfsim.solution import evaluate_u, make_solution
 
 SUPER = ModelParams(2.0, 0.5, 4)
 CRIT = ModelParams(1.5, 0.5, 3)
@@ -45,7 +46,8 @@ def test_reconstruct_reports_a_failed_bulk_run(monkeypatch):
 
     monkeypatch.setattr(profile_module, "solve_ivp", failed)
     with pytest.raises(ReconstructionError,
-                       match="^bulk run failed: step size too small$"):
+                       match="^bulk run at K = 0.5 failed: "
+                             "step size too small$"):
         reconstruct(SUPER, 0.5)
 
 
@@ -274,8 +276,8 @@ def _reconstruct_recording(monkeypatch, params, K):
     runs = []
 
     class Recording(profile_module._DenseRun):
-        def __init__(self, ts, steps):
-            super().__init__(ts, steps)
+        def __init__(self, ts, steps, n_states):
+            super().__init__(ts, steps, n_states)
             self.calls = []
             runs.append((list(ts), list(steps), self))
 
@@ -287,23 +289,41 @@ def _reconstruct_recording(monkeypatch, params, K):
     return reconstruct(params, K), runs
 
 
+def _reference_step(ts, x):
+    """The step lookup the evaluator once made: the step whose start is the
+    last one below x, clipped into the run."""
+    return np.clip(np.searchsorted(ts, x) - 1, 0, len(ts) - 2)
+
+
 @pytest.mark.parametrize("params, K", [(SUPER, 0.1),
                                        (ModelParams(3.0, 0.5, 3),
                                         0.5 * K_STAR_M3)])
 def test_dense_run_matches_scipy_ode_solution(monkeypatch, params, K):
     # the evaluator reads LsodaDenseOutput's t, h, yh and p; scipy's own
-    # OdeSolution over the same steps is the reference
+    # OdeSolution over the same steps is the reference.  The bulk keeps its
+    # f row alone, the tail both of its states (w, eta)
     _, runs = _reconstruct_recording(monkeypatch, params, K)
     assert len(runs) == 2
     rng = np.random.default_rng(3)
-    for ts, steps, dense in runs:
+    for (ts, steps, dense), n_states in zip(runs, (1, 2)):
         reference = OdeSolution(ts, steps)
         t_min, t_max = reference.t_min, reference.t_max
         x = np.concatenate([ts, [t_min, t_max],
                             rng.uniform(t_min, t_max, 2 * DENSE_SLICE + 17)])
-        want = reference(x)
+        want = reference(x)[:n_states]
+        got = dense(x)
+        assert got.shape == want.shape
         scale = np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.all(np.abs(dense(x) - want) <= 1e-13 * scale)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        # the old lookup picks the same step at every step end, between
+        # ends, and below and above the run
+        ts = np.asarray(ts)
+        span = ts[-1] - ts[0]
+        x = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]),
+                            [ts[0] - span, np.nextafter(ts[0], -np.inf),
+                             np.nextafter(ts[-1], np.inf), ts[-1] + span,
+                             -np.inf, np.inf]])
+        assert np.array_equal(dense.step(x), _reference_step(ts, x))
 
 
 def test_array_evaluation_matches_scalar_calls(monkeypatch):
@@ -326,6 +346,27 @@ def test_array_evaluation_matches_scalar_calls(monkeypatch):
         scalars = np.array([evaluate_f(p, float(v)) for v in xs])
         assert np.all(scalars[:-3] > 0.0) and np.all(scalars[-3:] == 0.0)
         assert np.array_equal(evaluate_f(p, xs), scalars)
+    # evaluate_u on broadcast (n, k) grids of (r, t), the shape
+    # solution._masses passes
+    sol = make_solution(prof)
+
+    def grid_matches_scalars(r, t):
+        grid = evaluate_u(sol, r[:, None], t)
+        scalars = np.array([[evaluate_u(sol, a, b) for b in t.tolist()]
+                            for a in r.tolist()])
+        return grid.shape == scalars.shape and np.array_equal(grid, scalars)
+
+    # at t = 0 the rows are the points above and +inf; at t = -900
+    # e^(-beta t) overflows, so r = 0 gives xi = 0 * inf there
+    assert 900.0 * prof.beta > math.log(sys.float_info.max)
+    assert grid_matches_scalars(np.append(x, math.inf),
+                                np.array([0.0, 0.3, -900.0]))
+    # a grid wholly in the bulk reaches it in one call
+    bulk = runs[0][2]
+    bulk.calls.clear()
+    assert grid_matches_scalars(np.linspace(0.2, 0.6, 7) * xi_h,
+                                np.array([0.0, 0.05, -0.05]))
+    assert bulk.calls[0].shape == (21,)
 
 
 @pytest.mark.parametrize("params, K", [(SUPER, K_STAR_SUPER),
