@@ -4,19 +4,21 @@ The profile solves
 
     (f^m)'' + (N-1)/xi * (f^m)' - alpha*f + beta*xi*f' + xi^sigma * f^p = 0
 
-with f(0) = 1, f'(0) = 0.  ``reconstruct`` integrates it in xi from a
-series seed until X = (alpha/2m) xi^2 f^(1-m) rises through ``X_BIG``, then
-carries the tail on in the slope chart (u, s, eta) = (Y/X, ln X, ln xi) of
-the planar system, where the interface is no degeneracy: s runs to infinity
-while eta converges to ln xi0.  The hand-off shares ``X_BIG`` with the
-orbits, so the bulk ends where their X-Y phase does.  A reconstructed
-profile evaluates anywhere through one private evaluator, which ``rescale``
-composes.
+with f(0) = 1, f'(0) = 0.  In eta = ln xi its state (ln f, Y = xi f'/f) obeys
+the planar system's Y equation, so ``reconstruct`` runs the bulk in logs on
+``planar_field`` from a series seed until X = (alpha/2m) xi^2 f^(1-m) rises
+through ``X_BIG``, then carries the tail on in the slope chart
+(u, s, eta) = (Y/X, ln X, ln xi), where the interface is no degeneracy: s
+runs to infinity while eta converges to ln xi0.  The hand-off shares
+``X_BIG`` with the orbits, so the bulk ends where their X-Y phase does.  A
+reconstructed profile evaluates anywhere through one private evaluator,
+which ``rescale`` composes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,6 +40,7 @@ from selfsim.params import (
     power,
     regime,
 )
+from selfsim.phaseplane import planar_field
 
 
 #: the tail ends once the rest of eta = ln xi is below ETA_TOL, its run there
@@ -91,44 +94,20 @@ class Profile:
 
 
 def _seed(params: ModelParams, alpha: float, xi):
-    """The series f = (1 + c xi^2)^(1/(m-1)), c = alpha (m-1) / (2mN), and
-    its derivative f' at xi, a float or an array, by ``params.power``."""
-    m = params.m
-    c = alpha * (m - 1.0) / (2.0 * m * params.N)
-    base = 1.0 + c * xi * xi
-    f = power(base, 1.0 / (m - 1.0))
-    fp = (2.0 * c * xi / (m - 1.0)) * power(base, (2.0 - m) / (m - 1.0))
-    return f, fp
-
-
-def _rhs(params: ModelParams, alpha: float, beta: float):
-    """The bulk's field in Python floats, each power by ``params.power``;
-    f'' is NaN off the ODE's domain (f <= 0, f^(m-1) at 0 or inf), as numpy
-    gave, so a step there fails LSODA's error test."""
-    m, N, sigma, p = params.m, params.N, params.sigma, params.p
-
-    def rhs(xi, y):
-        f, g = float(y[0]), float(y[1])
-        w1 = m * power(f, m - 1.0) if f > 0.0 else 0.0
-        if not 0.0 < w1 < math.inf:
-            return (g, math.nan)
-        acc = (
-            alpha * f
-            - beta * xi * g
-            - power(xi, sigma) * power(f, p)
-            - m * (m - 1.0) * power(f, m - 2.0) * g * g
-            - (N - 1.0) / xi * w1 * g
-        )
-        return (g, acc / w1)
-
-    return rhs
+    """The series f = (1 + c xi^2)^(1/(m-1)), c = alpha (m-1) / (2mN), in
+    logs: (ln f, Y = xi f'/f) at xi, a float or an array."""
+    m1 = params.m - 1.0
+    b = alpha * m1 / (2.0 * params.m * params.N) * xi * xi
+    return np.log1p(b) / m1, 2.0 * b / (m1 * (1.0 + b))
 
 
 def reconstruct(params: ModelParams, K: float) -> Profile:
     """Integrate the profile from the series seed to its interface.
 
-    The bulk runs in xi until X = (alpha/2m) xi^2 f^(1-m) rises through
-    ``X_BIG``, the tail in the slope chart from there (``_slope_tail``).
+    The bulk runs (ln f, Y) in eta = ln xi on ``planar_field``'s dY at
+    ln X = ln(alpha/2m) + 2 eta + (1-m) ln f until ln X rises through
+    ln ``X_BIG``, the tail in the slope chart from there (``_slope_tail``);
+    f and xi are formed for the output alone.
     """
     if regime(params) is Regime.SUBCRITICAL:
         raise DomainError("profiles with interface require m + p >= 2")
@@ -136,50 +115,64 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     alpha, m, q1 = sp.alpha, params.m, params.power_excess
     eps = 1e-4 * math.sqrt(2.0 * m * params.N / (alpha * (m - 1.0)))
     c = alpha / (2.0 * m)
+    ln_c, eta0 = math.log(c), math.log(eps)
+    planar = planar_field(params, K)
 
-    past_range = f"profile at K = {K:g} lies past the float range (f overflows)"
-    seed = _seed(params, alpha, eps)
-    if not math.isfinite(sum(seed)):
-        raise ReconstructionError(past_range)
+    def rhs(eta, y):
+        ell, Y = float(y[0]), float(y[1])
+        return (Y, planar(exp(ln_c + 2.0 * eta + (1.0 - m) * ell), Y)[1])
 
-    def ev_hand_off(xi, y):
-        # X rising through X_BIG, written without dividing by f
-        f = float(y[0])
-        return c * xi * xi - integrator.X_BIG * power(max(f, 0.0), m - 1.0)
+    def ev_hand_off(eta, y):
+        # ln X rising through ln X_BIG
+        return (ln_c + 2.0 * eta + (1.0 - m) * float(y[0])
+                - math.log(integrator.X_BIG))
 
     ev_hand_off.terminal = True
     ev_hand_off.direction = 1.0
 
-    # X grows like xi^2 while f stays bounded, so the hand-off comes unless
-    # f^(m-1) leaves the float range first
+    seed = [float(v) for v in _seed(params, alpha, eps)]
+    located = f"bulk run at K = {K:g} failed to locate its hand-off"
+    # the seed drops the term K X^q of dY/deta, whose scale in eta is
+    # 1/(K X0^(q-1)); below the spacing of the floats near eta0, the run's
+    # first step has no length
+    ln_x0 = ln_c + 2.0 * eta0 + (1.0 - m) * seed[0]
+    if eta0 + exp(-math.log(K) - q1 * ln_x0) == eta0:
+        raise ReconstructionError(f"{located} (its first step is lost to "
+                                  f"rounding at ln xi = {eta0:.1f})")
     try:
         bulk = solve_ivp(
-            _rhs(params, alpha, sp.beta),
-            (eps, math.inf),
+            rhs,
+            (eta0, math.log(sys.float_info.max)),
             seed,
             method="LSODA",
             rtol=integrator.REL_TOL,
-            atol=integrator.ABS_TOL,
+            atol=integrator.ABS_TOL / 100.0,
             events=[ev_hand_off],
             dense_output=True,
         )
     except ValueError as exc:
-        # at huge K, f falls to 0 within a step below the spacing of the
-        # floats near xi, so the hand-off cannot be bracketed in that step
+        # at large K, ln f falls to -inf within a step below the spacing of
+        # the floats near eta, so the hand-off cannot be bracketed in it
+        raise ReconstructionError(f"{located} ({exc})") from exc
+    if bulk.status == -1:
+        raise ReconstructionError(f"bulk run at K = {K:g} failed: "
+                                  f"{bulk.message}")
+    finite = np.isfinite(bulk.y).all(axis=0)
+    if not finite[-1]:  # LSODA steps on through NaN to the span's end
         raise ReconstructionError(
-            f"bulk run at K = {K:g} failed to locate its hand-off ({exc})"
-        ) from exc
-    if bulk.status != 1:
+            f"bulk run at K = {K:g} turned nonfinite at ln xi = "
+            f"{bulk.t[np.argmin(finite)]:.1f}, short of its hand-off")
+    if bulk.status == 0:
+        # xi reached the float range short of the hand-off, and xi0 > xi
         raise ReconstructionError(
-            f"bulk run at K = {K:g} reached xi = inf without its hand-off"
-            if bulk.status == 0
-            else f"bulk run at K = {K:g} failed: {bulk.message}")
-    xi_h = float(bulk.t[-1])
-    # the bulk is read for f alone, the tail for w and eta
+            f"interface at K = {K:g} lies past the float range (xi overflows "
+            "before the hand-off)")
+    # the bulk is read for ln f alone, the tail for w and eta
     body = _DenseRun(bulk.sol.ts, bulk.sol.interpolants, 1)
-    tail, tail_stats, xi0, s_last = _slope_tail(params, K, xi_h,
-                                                *bulk.y[:, -1].tolist(), c)
-    s_end = tail.ts[-1]
+    eta_h = float(bulk.t[-1])
+    tail, tail_stats, xi0, s_last = _slope_tail(params, K, eta_h,
+                                                float(bulk.y[1, -1]), c)
+    xi_h, s_end = exp(eta_h), tail.ts[-1]
 
     def xi_of_s(s):
         # e^eta on the run, then the type II closed form it may end on
@@ -194,11 +187,13 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     xi_tail, first = np.unique(xi_s, return_index=True)
     xi = np.linspace(eps, xi_h, N_UNIFORM, endpoint=False)
     with np.errstate(over="ignore"):
-        f = np.concatenate([body(xi)[0], (c * xi_tail**2 * np.exp(-s[first]))
+        f = np.concatenate([np.exp(body(np.log(xi))[0]),
+                            (c * xi_tail**2 * np.exp(-s[first]))
                             ** (1 / (m - 1))])
     if not np.all(np.isfinite(f)):
         # as m -> 1 the power 1/(m-1) lifts f past the float range
-        raise ReconstructionError(past_range)
+        raise ReconstructionError(
+            f"profile at K = {K:g} lies past the float range (f overflows)")
     xi = np.concatenate([xi, xi_tail])
     return Profile(
         params=params,
@@ -214,9 +209,10 @@ def reconstruct(params: ModelParams, K: float) -> Profile:
     )
 
 
-def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
-                g_h: float, c: float):
-    """Carry the profile from the hand-off to its interface in the slope chart.
+def _slope_tail(params: ModelParams, K: float, eta_h: float, Y_h: float,
+                c: float):
+    """Carry the profile from the bulk's hand-off, (eta_h, Y_h) at
+    s0 = ln ``X_BIG``, to its interface in the slope chart.
 
     ``_rhs_slope`` carries (u, eta) in s as w = u e^((2-q)s), which tends to
     -K/(m-1) on a type II tail while u falls below any atol.  deta/ds decays
@@ -227,13 +223,13 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
     rate (m-1)e^((2-q)s)/K that soon lets rounding swamp dw/ds.  It ends
     too at the first step where c xi^2 overflows; xi0 exceeds that xi, so
     the float-range check after the run raises.  Returns the run's dense
-    output of (w, eta - ln xi_h), its ``PhaseStats``, xi0 =
-    xi_h exp(eta + rest) and the s where the rest falls below ``ETA_TOL``.  The run is stepped by
-    hand, and each step's Nordsieck array goes into the ``_DenseRun`` that
-    is its dense output.
+    output of (w, eta - eta_h), its ``PhaseStats``, xi0 =
+    exp(eta_h + eta + rest) and the s where the rest falls below
+    ``ETA_TOL``.  The run is stepped by hand, and each step's Nordsieck
+    array goes into the ``_DenseRun`` that is its dense output.
     """
-    m, q, q1 = params.m, params.power_ratio, params.power_excess
-    s0 = math.log(c * xi_h * xi_h) + (1.0 - m) * math.log(f_h)
+    q, q1 = params.power_ratio, params.power_excess
+    s0 = math.log(integrator.X_BIG)
     slope = _rhs_slope(params, K)
 
     def rhs(s, y):
@@ -242,10 +238,10 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
         du, deta = slope(s, (w * E, eta))
         return (du / E + (2.0 - q) * w, deta)
 
-    w0 = xi_h * g_h / f_h * math.exp(-q1 * s0)
+    w0 = Y_h * math.exp(-q1 * s0)
     # stepped by hand: on solve_ivp with its end as a terminal event, the
     # same evaluations took 0.31-0.33 s per reconstruct, not 0.26 (2 cores);
-    # tolerances a 100th of the bulk's: |Y| > 100 scales an eta error in ln f
+    # rtol a 100th of the bulk's: |Y| > 100 scales an eta error in ln f
     solver = LSODA(rhs, s0, [w0, 0.0], integrator.LN_X_CAP,
                    rtol=integrator.REL_TOL / 100.0,
                    atol=integrator.ABS_TOL / 100.0)
@@ -263,10 +259,10 @@ def _slope_tail(params: ModelParams, K: float, xi_h: float, f_h: float,
         rest = rhs(solver.t, y)[1] / q1
         closed = math.exp(-q1 * solver.t) / (K * q1)
         converged = rest < ETA_TOL or abs(closed - rest) < CLOSED_REL * rest
-        past = not math.isfinite(c * power(xi_h * exp(y[1]), 2.0))
+        past = not math.isfinite(c * power(exp(eta_h + y[1]), 2.0))
     stats = PhaseStats("LSODA", int(solver.nfev), int(solver.njev),
                        len(steps), int(converged))
-    xi0 = xi_h * exp(y[1] + rest)
+    xi0 = exp(eta_h + y[1] + rest)
     if not math.isfinite(c * power(xi0, 2.0)):
         # the tail samples f from c xi^2 e^(-s)
         raise ReconstructionError(
@@ -322,10 +318,11 @@ class _DenseRun:
 def _reconstructed(params: ModelParams, K: float, alpha: float,
                    bulk: _DenseRun, eps: float, xi_h: float, tail: _DenseRun,
                    xi0: float, xi_last: float):
-    """Series below eps, the bulk run up to the hand-off xi_h, the tail up
-    to xi_last mapped back by f = (alpha xi^2 e^(-s)/2m)^(1/(m-1)), and 0
-    beyond.  Newton's method inverts eta(s) on the tail run's dense output
-    with ds/deta = 2 - (m-1)Y, Y = w e^(q1 s), q1 = sigma/2, the X equation
+    """Series below eps, the bulk run's ln f read at ln xi up to the hand-off
+    xi_h, the tail up to xi_last mapped back by
+    f = (alpha xi^2 e^(-s)/2m)^(1/(m-1)), and 0 beyond.  Newton's method
+    inverts eta(s) on the tail run's dense output with ds/deta =
+    2 - (m-1)Y, Y = w e^(q1 s), q1 = sigma/2, the X equation
     of the planar system, each point until its own miss is within rounding;
     past the run, s solves ln(xi0/xi) = e^(-q1 s)/(K q1) with no iteration.
     The evaluator takes an array of any shape; a batch within one piece goes
@@ -356,8 +353,8 @@ def _reconstructed(params: ModelParams, K: float, alpha: float,
 
     # f on each piece in order of xi: the series head, the bulk run, the
     # tail, and 0 past xi_last
-    pieces = (lambda xs: _seed(params, alpha, xs)[0], lambda xs: bulk(xs)[0],
-              run_f, np.zeros_like)
+    pieces = (lambda xs: np.exp(_seed(params, alpha, xs)[0]),
+              lambda xs: np.exp(bulk(np.log(xs))[0]), run_f, np.zeros_like)
 
     def piece(x):
         # the index into pieces of each point of x, an array or a scalar

@@ -341,9 +341,9 @@ def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_profile_at_huge_k_exit_code(tmp_path, capsys):
-    # alpha = 2.5e-200 is finite, but f falls to 0 within one bulk step
-    # narrower than the float spacing near xi; this once escaped main as a
-    # ValueError from brentq
+    # alpha = 2.5e-200 is finite, but the bulk's first step is narrower than
+    # the float spacing near ln xi; f falling to 0 within such a step once
+    # escaped main as a ValueError from brentq
     code, _, err = run(capsys, "profile", "--m", "2", "--p", "0.5", "--N", "4",
                        "--K", "1e300", "--out", str(tmp_path / "x"))
     assert code == 3

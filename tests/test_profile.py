@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -301,7 +302,7 @@ def _reference_step(ts, x):
 def test_dense_run_matches_scipy_ode_solution(monkeypatch, params, K):
     # the evaluator reads LsodaDenseOutput's t, h, yh and p; scipy's own
     # OdeSolution over the same steps is the reference.  The bulk keeps its
-    # f row alone, the tail both of its states (w, eta)
+    # ln f row alone, the tail both of its states (w, eta)
     _, runs = _reconstruct_recording(monkeypatch, params, K)
     assert len(runs) == 2
     rng = np.random.default_rng(3)
@@ -332,7 +333,7 @@ def test_array_evaluation_matches_scalar_calls(monkeypatch):
     prof, runs = _reconstruct_recording(monkeypatch, ModelParams(3.0, 0.5, 3),
                                         0.5 * K_STAR_M3)
     (bulk_ts, _, _), (_, _, tail) = runs
-    xi_h = bulk_ts[-1]
+    xi_h = math.exp(bulk_ts[-1])  # the bulk runs in ln xi
     xi_run_end = xi_h * math.exp(tail(tail.ts[-1:])[1, 0])
     xi_last = prof.xi[-1]
     assert xi_run_end < xi_last < prof.xi0
@@ -378,7 +379,7 @@ def test_tail_value_depends_on_its_point_alone(monkeypatch, params, K):
     # out different from their scalar calls, by up to 4e-12 relative
     prof, ((bulk_ts, _, _), _) = _reconstruct_recording(monkeypatch, params, K)
     rng = np.random.default_rng(5)
-    x = rng.uniform(bulk_ts[-1], 1.01 * prof.xi0, 400)
+    x = rng.uniform(math.exp(bulk_ts[-1]), 1.01 * prof.xi0, 400)
     scalars = np.array([evaluate_f(prof, float(v)) for v in x])
     assert np.count_nonzero(scalars) > 200
     assert np.array_equal(evaluate_f(prof, x), scalars)
@@ -390,13 +391,14 @@ def test_points_past_the_run_skip_the_newton_loop(monkeypatch):
     prof, runs = _reconstruct_recording(monkeypatch, ModelParams(3.0, 0.5, 3),
                                         0.5 * K_STAR_M3)
     (bulk_ts, _, _), (_, _, tail) = runs
-    xi_run_end = bulk_ts[-1] * math.exp(tail(tail.ts[-1:])[1, 0])
+    xi_h = math.exp(bulk_ts[-1])  # the bulk runs in ln xi
+    xi_run_end = xi_h * math.exp(tail(tail.ts[-1:])[1, 0])
     x = np.linspace(xi_run_end, prof.xi[-1], 50)[1:]
     tail.calls.clear()
     assert np.all(evaluate_f(prof, x) > 0.0)
     assert tail.calls == []
     # a point on the run makes one call per Newton iteration, on itself only
-    evaluate_f(prof, np.concatenate([x, [0.5 * (bulk_ts[-1] + xi_run_end)]]))
+    evaluate_f(prof, np.concatenate([x, [0.5 * (xi_h + xi_run_end)]]))
     assert 1 <= len(tail.calls) <= profile_module.INVERT_ITERATIONS
     assert all(len(call) == 1 for call in tail.calls)
 
@@ -500,27 +502,76 @@ def test_profile_past_the_float_range_names_k(params, K):
         reconstruct(params, K)
 
 
+INTERFACE_PAST_RANGE = "interface at K = {K:g} lies past the float range"
+BULK_NONFINITE = "bulk run at K = {K:g} turned nonfinite at ln xi = "
+
+
 @pytest.mark.parametrize("N", [1, 3])
 @pytest.mark.parametrize("m", [1.001, 1.0000001, 1.0 + 1e-12])
 def test_critical_line_near_m_1_names_k(m, N):
-    # xi^sigma in the bulk's field, or the seed's power 1/(m-1), once raised
-    # a raw OverflowError here; the seed now passes the float range from
-    # m = 1 + 1e-11, and nearer 1 f^(m-1) leaves it along the bulk
-    with pytest.raises(ReconstructionError, match=r"at K = 1 "):
+    # xi^sigma in the old bulk field, or the seed's power 1/(m-1), once
+    # raised a raw OverflowError here, and later the run was reported as
+    # reaching xi = inf.  f reaches 0 at a finite xi while X, which goes
+    # like f^(1-m), stays below X_BIG, so Y falls to -inf and the state
+    # turns NaN; the error says so
+    with pytest.raises(ReconstructionError,
+                       match="^" + re.escape(BULK_NONFINITE.format(K=1.0))):
         reconstruct(ModelParams(m, 2.0 - m, N), 1.0)
 
 
-@pytest.mark.parametrize("m, K", [(1e6, 0.1), (1e8, 0.1), (1e16, 1.0)])
-def test_large_m_bulk_names_k_with_no_warning(m, K):
-    # f^(m-1) leaves the float range along the bulk, which then runs to
-    # xi = inf; numpy's powers once warned here, and the error read "bulk
-    # run failed: The solver successfully reached the end of the
-    # integration interval."
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ReconstructionError,
-                           match=f"^bulk run at K = {K:g} reached xi = inf"):
-            reconstruct(ModelParams(m, 0.5, 3), K)
+#: (params, K, the message the bulk ends with)
+LARGE_M_BULK = [
+    # the rest e^(-q1 s)/(K q1) puts ln xi0 near 2e7 at m = 1e6
+    (ModelParams(1e6, 0.5, 3), 0.1, INTERFACE_PAST_RANGE),
+    (ModelParams(1e8, 0.5, 3), 0.1, INTERFACE_PAST_RANGE),
+    (ModelParams(1e8, 0.5, 3), 1.0, INTERFACE_PAST_RANGE),
+    # ln f and Y are near 1/(m-1), below the bulk's atol, and the run turns
+    # NaN; m = 1e155 once did not return within 30 s
+    (ModelParams(1e16, 0.5, 3), 1.0, BULK_NONFINITE),
+    (ModelParams(1e155, 0.5, 3), 1.0, BULK_NONFINITE),
+    # bulk creeps that once took 3-12 s, hung, or ended "reached xi = inf"
+    (ModelParams(7.0, 0.5, 1), 1e-4, INTERFACE_PAST_RANGE),
+    (ModelParams(5.0, 0.9, 1), 1e-4, INTERFACE_PAST_RANGE),
+    (ModelParams(7.0, 0.9, 1), 1e-4, INTERFACE_PAST_RANGE),
+    (ModelParams(7.0, 0.9, 3), 1e-4, INTERFACE_PAST_RANGE),
+    (ModelParams(18.898, 0.41117, 1), 0.017242, INTERFACE_PAST_RANGE),
+]
+
+
+@pytest.mark.parametrize(
+    "params, K, message", LARGE_M_BULK,
+    ids=[f"{p.m}-{K}" if (p.p, p.N) == (0.5, 3) else f"{p.m}-{p.p}-{p.N}-{K}"
+         for p, K, _ in LARGE_M_BULK])
+def test_large_m_bulk_names_k_with_no_warning(params, K, message):
+    # the bulk forms no power of f or xi: the old field's f^(m-1) left the
+    # float range here and the run went on to xi = inf, numpy's powers once
+    # warned, and lsoda's UserWarning reached stderr at m = 1e8, K = 1.  An
+    # alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("reconstruct did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReconstructionError,
+                               match="^" + re.escape(message.format(K=K))):
+                reconstruct(params, K)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("K", [1e10, 1e150, 1e250, 1e300])
+def test_huge_k_bulk_names_k(K):
+    # f falls to 0 within a step below the spacing of the floats near
+    # ln xi; from K = 1e150 the seed's dropped term K X0^q, 2e246 times the
+    # others at 1e250, makes the first step zero, where the run once hung
+    with pytest.raises(ReconstructionError,
+                       match=re.escape(f"bulk run at K = {K:g} failed to "
+                                       "locate its hand-off")):
+        reconstruct(SUPER, K)
 
 
 def test_profile_callbacks_return_python_floats(monkeypatch):
@@ -529,9 +580,9 @@ def test_profile_callbacks_return_python_floats(monkeypatch):
     seen = {}
     solve_ivp, lsoda = profile_module.solve_ivp, profile_module.LSODA
 
-    def spy_solve_ivp(fun, *args, events, **kwargs):
-        seen["bulk"], seen["hand-off"] = fun, events[0]
-        return solve_ivp(fun, *args, events=events, **kwargs)
+    def spy_solve_ivp(fun, span, y0, *, events, **kwargs):
+        seen["bulk"], seen["hand-off"], seen["seed"] = fun, events[0], y0
+        return solve_ivp(fun, span, y0, events=events, **kwargs)
 
     def spy_lsoda(fun, *args, **kwargs):
         seen["tail"] = fun
@@ -540,28 +591,12 @@ def test_profile_callbacks_return_python_floats(monkeypatch):
     monkeypatch.setattr(profile_module, "solve_ivp", spy_solve_ivp)
     monkeypatch.setattr(profile_module, "LSODA", spy_lsoda)
     reconstruct(SUPER, 0.5)
+    # (ln f, Y) at ln xi = 5 and (w, eta) at ln X = 5
     state = np.array([0.5, -0.25])
     for name in ("bulk", "tail"):
         assert [type(v) for v in seen[name](5.0, state)] == [float] * 2, name
     assert type(seen["hand-off"](5.0, state)) is float
-    alpha = alpha_beta_from_k(SUPER, 0.5).alpha
-    seed = profile_module._seed(SUPER, alpha, 1e-3)
-    assert [type(v) for v in seed] == [float] * 2
-
-
-@pytest.mark.parametrize("params, f", [
-    (SUPER, -0.1), (SUPER, 0.0), (SUPER, math.nan),
-    # f^(m-1) underflows to 0 and overflows to inf
-    (ModelParams(1e8, 0.5, 3), 0.5), (ModelParams(1e8, 0.5, 3), 2.0),
-])
-def test_bulk_field_is_nan_off_its_domain(params, f):
-    # numpy's powers returned NaN here with a warning; Python floats would
-    # give a complex power or a ZeroDivisionError
-    rhs = profile_module._rhs(params, 1.0, 0.5 * (params.m - 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        g, acc = rhs(1.0, np.array([f, -0.5]))
-    assert g == -0.5 and math.isnan(acc)
+    assert [type(v) for v in seen["seed"]] == [float] * 2
 
 
 def test_profile_reads_the_tolerances_at_call_time(prof_fig3a, monkeypatch):
