@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -251,8 +251,8 @@ def _slope_tail(params: ModelParams, K: float, eta_h: float, Y_h: float,
         y = solver.y.tolist()
         if solver.status == "failed" or not all(map(math.isfinite, y)):
             raise ReconstructionError(
-                f"slope chart tail failed at ln X = {solver.t:.1f} "
-                f"({message or 'nonfinite state'})"
+                f"slope chart tail at K = {K:g} failed at ln X = "
+                f"{solver.t:.1f} ({message or 'nonfinite state'})"
             )
         ts.append(solver.t)
         steps.append(solver.dense_output())
@@ -490,13 +490,5 @@ def rescale(profile: Profile, lam: float) -> Profile:
         raise DomainError(f"lambda = {lam} scales f by {fac} and xi0 to "
                           f"{xi0}, off the float range")
     base = profile._eval
-    return Profile(
-        params=profile.params,
-        alpha=profile.alpha,
-        beta=profile.beta,
-        xi=profile.xi / lam,
-        f=profile.f * fac,
-        xi0=xi0,
-        _eval=lambda x: fac * base(lam * x),
-        stats=profile.stats,
-    )
+    return replace(profile, xi=profile.xi / lam, f=profile.f * fac, xi0=xi0,
+                   _eval=lambda x: fac * base(lam * x))

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import alarm
 
 from selfsim import cli
 from selfsim.integrator import OrbitEnd, OrbitTag, integrate_from_p0
@@ -16,6 +19,79 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+#: the CLI's contract, one row per pinned run: its argv, its exit code, a
+#: pattern its one stderr line matches in full (None: stderr is empty) and
+#: the files it writes under the prefix x.  A new CLI regression pin is one
+#: more row
+CONTRACT = [
+    # the X-Y phase once took 6.2M evaluations here
+    ("classify --m 7 --p 0.5 --N 3 --K 0.01", 0, None, []),
+    # the trap holds from the launch; tested only past X_BIG, it once took
+    # 21.1M X-Y evaluations to reach
+    ("classify --m 1e5 --p 0.5 --N 3 --K 1", 0, None, []),
+    # q rounds to 1, and the stop below the Q4 ray once divided by q - 1 = 0
+    ("classify --m 1e16 --p 0.5 --N 3 --K 1", 0, None, []),
+    # the probes ride the Q4 ray, which repels at only 1/(m-1); they once
+    # met no stop by the ln X cap and the bisection stopped early, exit 3
+    ("find-kstar --m 50 --p 0.5 --N 3", 0, None, []),
+    ("find-kstar --m 2 --p 0.5 --N 4 --tol-k 0", 2,
+     r"error: tol_K must be positive and finite, got 0\.0", []),
+    ("find-kstar --m 1.2 --p 0.5 --N 3", 2,
+     r"error: no transition exists for m \+ p < 2", []),
+    ("sweep --m 1.2 --p 0.5 --N 3 --out x", 0, None, ["x.csv", "x.json"]),
+    # reconstruct once crawled here for minutes
+    ("profile --m 5 --p 0.75 --N 1 --K 1.8713153960118027 --out x", 0, None,
+     ["x.csv", "x.json"]),
+    # the bulk's first step is lost to rounding; f falling to 0 within one
+    # step once escaped main as a ValueError from brentq, exit 1
+    ("profile --m 2 --p 0.5 --N 4 --K 1e300 --out x", 3,
+     r"error: bulk run at K = 1e\+300 failed .*", []),
+    # c xi^2 leaves the float range during the tail; it once stepped on to
+    # "slope chart tail failed at ln X = 46.8 (nonfinite state)"
+    ("profile --m 3 --p 0.9 --N 3 --K 0.001 --out x", 3,
+     r"error: interface at K = 0\.001 lies past the float range .*", []),
+    # near m = 1 the old xi-form field once raised a raw OverflowError; at
+    # m = 1e6 numpy's powers warned; m = 1e155 once did not return within
+    # 60 s, and m = 1e8 wrote lsoda's UserWarning as a second stderr line
+    ("profile --m 1.001 --p 0.999 --N 1 --K 1 --out x", 3,
+     r"error: .*K = 1 .*", []),
+    ("profile --m 1e6 --p 0.5 --N 3 --K 0.1 --out x", 3,
+     r"error: .*K = 0\.1 .*", []),
+    ("profile --m 1e155 --p 0.5 --N 3 --K 1 --out x", 3,
+     r"error: .*K = 1 .*", []),
+    ("profile --m 1e8 --p 0.5 --N 3 --K 1 --out x", 3,
+     r"error: .*K = 1 .*", []),
+    # large-m tails that leave the float range; the message once named no K
+    ("profile --m 1e6 --p 0.5 --N 3 --K 1 --out x", 3,
+     r"error: slope chart tail at K = 1 failed at .*", []),
+    ("profile --m 1e10 --p 0.5 --N 3 --K 0.1 --out x", 3,
+     r"error: slope chart tail at K = 0\.1 failed at .*", []),
+    ("profile --m 1e12 --p 0.5 --N 3 --K 1 --out x", 3,
+     r"error: slope chart tail at K = 1 failed at .*", []),
+    # the profile is finite here but F is not; this once wrote 649 inf
+    # values of F with numpy's overflow warning, and exited 0
+    ("tw --m 1.01 --p 0.99 --N 3 --K 6.25e-6 --out x", 3,
+     r"error: traveling wave at alpha = 803\.99 lies past the float range "
+     r"\(F overflows\)", []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err, files", CONTRACT,
+    ids=[row[0].replace(" --", ",").replace(" ", "=") for row in CONTRACT])
+def test_cli_contract(tmp_path, capsys, monkeypatch, argv, code, err, files):
+    # in-process, warnings as errors, with an alarm in place of a timeout
+    monkeypatch.chdir(tmp_path)
+    with alarm(60):
+        assert cli.main(argv.split()) == code
+    stderr = capsys.readouterr().err
+    if err is None:
+        assert stderr == ""
+    else:
+        assert re.fullmatch(err + "\n", stderr), stderr
+    assert sorted(f.name for f in tmp_path.iterdir()) == files
 
 
 def test_classify_stdout(capsys):
@@ -96,6 +172,18 @@ def test_sweep_files(tmp_path, capsys):
         "31.622776601683793,ToQ3\n"
         "1000.0,ToQ3\n"
     )
+
+
+def test_sweep_tags_both_sides_of_k_star(tmp_path, capsys):
+    # K* = 2.5488157 at (2, 1/2, 4): the five K below it end ToQ1, the four
+    # above it ToQ3
+    code, _, _ = run(capsys, "sweep", "--m", "2", "--p", "0.5", "--N", "4",
+                     "--k-min", "0.01", "--k-max", "100", "--k-count", "9",
+                     "--out", str(tmp_path / "sw"))
+    assert code == 0
+    probes = json.loads((tmp_path / "sw.json").read_text())["probes"]
+    assert [p["tag"] for p in probes] == ["ToQ1"] * 5 + ["ToQ3"] * 4
+    assert probes[4]["k"] < 2.5488 < probes[5]["k"]
 
 
 @pytest.mark.parametrize("m", [2.0, 1.2])
@@ -183,9 +271,14 @@ def test_profile_files(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "prof.json").read_text())
     assert doc["interface_type"] == "TypeII"
-    header = (tmp_path / "prof.csv").read_text().splitlines()[:10]
-    assert any(line.startswith("# xi0 = ") for line in header)
-    assert "xi,f" in header
+    lines = (tmp_path / "prof.csv").read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert any(line.startswith("# xi0 = ") for line in lines[:head])
+    assert lines[head] == "xi,f"
+    # the writer formats its rows a block at a time
+    rows = np.loadtxt(lines[head + 1:], delimiter=",", ndmin=2)
+    assert rows.shape[0] > 0 and rows.shape[1] == 2
+    assert np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("rows", [0, 1, cli.CSV_BLOCK, 2 * cli.CSV_BLOCK + 3])
@@ -221,10 +314,10 @@ def test_portrait_files(tmp_path, capsys):
     code, _, _ = run(capsys, "portrait", "--m", "2", "--p", "0.5", "--N", "4",
                      "--K", "0.1", "--out", prefix)
     assert code == 0
-    files = sorted(tmp_path.glob("por_*.csv"))
-    assert len(files) == 6
-    body = files[0].read_text()
-    assert "eta,X,Y" in body
+    files = sorted(tmp_path.iterdir())
+    assert [f.name for f in files] == ["por_p0.csv"] + [
+        f"por_start{i}.csv" for i in range(5)]
+    assert all("eta,X,Y" in f.read_text() for f in files)
 
 
 def test_sigma_mismatch_exit_code(capsys):
@@ -340,18 +433,6 @@ def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "20 samples" in err
 
 
-def test_profile_at_huge_k_exit_code(tmp_path, capsys):
-    # alpha = 2.5e-200 is finite, but the bulk's first step is narrower than
-    # the float spacing near ln xi; f falling to 0 within such a step once
-    # escaped main as a ValueError from brentq
-    code, _, err = run(capsys, "profile", "--m", "2", "--p", "0.5", "--N", "4",
-                       "--K", "1e300", "--out", str(tmp_path / "x"))
-    assert code == 3
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "K = 1e+300" in err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("m, p, N, K", [
     ("3", "0.5", "3", "0.001"),
     ("5", "0.9", "3", "0.01"),
@@ -367,13 +448,6 @@ def test_profile_at_small_k_exit_code(tmp_path, capsys, m, p, N, K):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"K = {float(K):g}" in err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_subcritical_find_kstar_rejected(capsys):
-    code, _, err = run(capsys, "find-kstar", "--m", "1.2", "--p", "0.5",
-                       "--N", "3")
-    assert code == 2
-    assert "transition" in err
 
 
 @pytest.mark.parametrize("command, flags, name", [
@@ -410,17 +484,6 @@ def test_near_m_one_exits_0(tmp_path, capsys, command, m, files):
     assert len(list(tmp_path.iterdir())) == files
     if command == "classify":
         assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
-
-
-def test_tw_past_the_float_range_exit_code(tmp_path, capsys):
-    # the profile is finite here but F is not; this once wrote 649 inf
-    # values of F with numpy's overflow warning, and exited 0
-    code, _, err = run(capsys, "tw", "--m", "1.01", "--p", "0.99", "--N", "3",
-                       "--K", "6.25e-6", "--out", str(tmp_path / "x"))
-    assert code == 3
-    assert err == ("error: traveling wave at alpha = 803.99 lies past the "
-                   "float range (F overflows)\n")
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["profile", "tw"])
@@ -467,3 +530,14 @@ def test_tolerance_flags_are_gone(capsys, flag, value):
                        "--N", "4", "--K", "1", flag, value)
     assert code == 2
     assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_readme_library_usage_runs(capsys):
+    # the documented entry points keep step with the code: the first python
+    # block after "## Library usage" runs as written, warnings as errors
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Library usage", 1)[1].split("```python\n", 1)[1]
+    with alarm(60):
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "OrbitTag.TO_Q1"

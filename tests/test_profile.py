@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import warnings
@@ -11,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import alarm
 from scipy.integrate import OdeSolution
 
 from selfsim import integrator
@@ -127,20 +127,14 @@ def test_sign_change_profile_is_two_lsoda_runs():
     (ModelParams(5.0, 0.75, 1), K_STAR_M5_P75_N1),
     (ModelParams(5.0, 0.9, 3), K_STAR_M5),
     (ModelParams(5.0, 0.9, 4), K_STAR_M5_N4),
+    # K*/4 = 1.8713153960118027 from the K* an earlier bisection gave
+    (ModelParams(5.0, 0.75, 1), 4.0 * 1.8713153960118027),
 ])
 def test_slow_type_ii_tails_reach_their_interface(params, k_star):
     # these tails once crawled near f = 1e-8 for minutes; an alarm turns a
     # regression into a failure instead of a hang
-    def hang(signum, frame):
-        raise TimeoutError("reconstruct did not return within 30 s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(30)
-    try:
+    with alarm(30):
         prof = reconstruct(params, k_star / 4.0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert math.isfinite(prof.xi0) and prof.xi0 > prof.xi[-1]
     # samples 1e-3 xi0 short of xi0 lie past the tail run, on its type II
     # closed form; closer in, rounding xi costs f more than 1e-9
@@ -547,20 +541,11 @@ def test_large_m_bulk_names_k_with_no_warning(params, K, message):
     # float range here and the run went on to xi = inf, numpy's powers once
     # warned, and lsoda's UserWarning reached stderr at m = 1e8, K = 1.  An
     # alarm turns a hang into a failure
-    def hang(signum, frame):
-        raise TimeoutError("reconstruct did not return within 5 s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ReconstructionError,
-                               match="^" + re.escape(message.format(K=K))):
-                reconstruct(params, K)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with alarm(5), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError,
+                           match="^" + re.escape(message.format(K=K))):
+            reconstruct(params, K)
 
 
 @pytest.mark.parametrize("K", [1e10, 1e150, 1e250, 1e300])
@@ -620,8 +605,8 @@ def test_tail_failure_names_its_cause(monkeypatch):
     monkeypatch.setattr(profile_module, "_rhs_slope", blowing_up)
     with pytest.raises(ReconstructionError) as exc:
         reconstruct(SUPER, 0.5)
-    assert str(exc.value) == ("slope chart tail failed at ln X = 12.0 "
-                              "(nonfinite state)")
+    assert str(exc.value) == ("slope chart tail at K = 0.5 failed at "
+                              "ln X = 12.0 (nonfinite state)")
 
 
 def test_import_loads_no_interpolation():
