@@ -76,8 +76,15 @@ def _model_meta(params: ModelParams) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A flag error is a DomainError, so ``main`` reports it as one line."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="selfsim",
         description="Self-similar profiles and phase-plane orbits of the "
         "weighted reaction porous-medium equation",
@@ -253,14 +260,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_FLAGS if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         params = ModelParams(m=args.m, p=args.p, N=args.N)
         fields, csvs, failure = _COMMANDS[args.command](params, args)
+    except SystemExit:
+        return 0  # -h wrote its help; a flag error raises DomainError
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAGS

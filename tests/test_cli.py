@@ -75,23 +75,135 @@ CONTRACT = [
     ("tw --m 1.01 --p 0.99 --N 3 --K 6.25e-6 --out x", 3,
      r"error: traveling wave at alpha = 803\.99 lies past the float range "
      r"\(F overflows\)", []),
+    # f = (...)^(1/(m-1)) passes the float range; this once wrote inf (and
+    # for tw nan) samples and numpy's overflow warnings, and exited 0
+    ("profile --m 1.0002 --p 0.9998 --N 3 --K 1e-8 --out x", 3,
+     r"error: profile at K = 1e-08 lies past the float range \(f overflows\)",
+     []),
+    ("tw --m 1.0002 --p 0.9998 --N 3 --K 1e-8 --out x", 3,
+     r"error: profile at K = 1e-08 lies past the float range \(f overflows\)",
+     []),
+    # the interface lies past the float range; this once escaped main as an
+    # OverflowError, or wrote overflow warnings to stderr
+    ("profile --m 3 --p 0.5 --N 3 --K 0.001 --out x", 3,
+     r"error: interface at K = 0\.001 lies past the float range .*", []),
+    ("profile --m 5 --p 0.9 --N 3 --K 0.01 --out x", 3,
+     r"error: interface at K = 0\.01 lies past the float range .*", []),
+    ("profile --m 1.5 --p 0.9 --N 1 --K 0.001 --out x", 3,
+     r"error: interface at K = 0\.001 lies past the float range .*", []),
+    ("profile --m 2 --p 0.5 --N 4 --K 0.0001 --out x", 3,
+     r"error: interface at K = 0\.0001 lies past the float range .*", []),
+    # q = (m-p)/(m-1) passes 2500 here, and K X^q in a stage of the X-Y
+    # phase once escaped main as an OverflowError
+    ("portrait --m 1.0001 --p 0.5 --N 3 --K 1 --out x", 0, None,
+     ["x_p0.csv"] + [f"x_start{i}.csv" for i in range(5)]),
+    # flag errors: argparse's and those main finds before any solve; -h
+    # alone prints usage
+    ("-h", 0, None, []),
+    ("classify -h", 0, None, []),
+    ("", 2, r"error: the following arguments are required: command", []),
+    ("nosuch", 2, r"error: argument command: invalid choice: 'nosuch' .*", []),
+    ("classify --m x --p 0.5 --N 4 --K 1", 2,
+     r"error: argument --m: invalid float value: 'x'", []),
+    ("classify --m 2 --p 0.5 --N 4", 2,
+     r"error: one of the arguments --K --alpha is required", []),
+    ("classify --m 2 --p 0.5 --N 4 --K 0.1 --alpha 4", 2,
+     r"error: argument --alpha: not allowed with argument --K", []),
+    ("sweep --m 2 --p 0.5 --N 4 --k-count 3", 2,
+     r"error: the following arguments are required: --out", []),
+    ("profile --m 2 --p 0.5 --N 4 --K 0.5", 2,
+     r"error: the following arguments are required: --out", []),
+    ("portrait --m 2 --p 0.5 --N 4 --K 0.1", 2,
+     r"error: the following arguments are required: --out", []),
+    ("tw --m 2 --p 0.5 --N 4 --K 0.5", 2,
+     r"error: the following arguments are required: --out", []),
+    # the tolerances are fixed, and sigma is derived from m and p: its flag
+    # let NaN through
+    ("classify --m 2 --p 0.5 --N 4 --K 1 --rel-tol 1e-12", 2,
+     r"error: unrecognized arguments: --rel-tol 1e-12", []),
+    ("classify --m 2 --p 0.5 --N 4 --K 1 --abs-tol 1e-14", 2,
+     r"error: unrecognized arguments: --abs-tol 1e-14", []),
+    ("classify --m 2 --p 0.5 --N 4 --K 1 --sigma nan", 2,
+     r"error: unrecognized arguments: --sigma nan", []),
+    ("sweep --m 2 --p 0.5 --N 4 --k-min 0 --out x", 2,
+     r"error: the K grid's --k-min must be positive and finite, got 0\.0", []),
+    ("sweep --m 2 --p 0.5 --N 4 --k-max -1 --out x", 2,
+     r"error: the K grid's --k-max must be positive and finite, got -1\.0",
+     []),
+    ("sweep --m 2 --p 0.5 --N 4 --k-max inf --out x", 2,
+     r"error: the K grid's --k-max must be positive and finite, got inf", []),
+    ("sweep --m 2 --p 0.5 --N 4 --k-count -3 --out x", 2,
+     r"error: the K grid needs --k-count >= 1, got -3", []),
+    ("sweep --m 2 --p 0.5 --N 4 --k-count 0 --out x", 2,
+     r"error: the K grid needs --k-count >= 1, got 0", []),
+    # a parameter is rejected by name where it enters; an exception escaping
+    # main here would be a traceback at the console
+    ("profile --m 2 --p 0.5 --N 4 --K inf --out x", 2,
+     r"error: K must be positive and finite, got inf", []),
+    ("tw --m 2 --p 0.5 --N 4 --K inf --out x", 2,
+     r"error: K must be positive and finite, got inf", []),
+    ("classify --m 2 --p 0.5 --N 4 --K inf --out x", 2,
+     r"error: K must be positive and finite, got inf", []),
+    ("classify --m 2 --p 0.5 --N 4 --alpha inf --out x", 2,
+     r"error: alpha must be positive and finite, got inf", []),
+    ("classify --m inf --p 0.5 --N 4 --K 1 --out x", 2,
+     r"error: m must be finite and > 1, got inf", []),
+    ("profile --m 2 --p 0.5 --N 4 --K 1e308 --out x", 2,
+     r"error: K = 1e\+308 maps to alpha = 0\.0 at m = 2\.0, past the float "
+     r"range", []),
+    ("classify --m 100 --p 0.5 --N 4 --K 5e-324 --out x", 2,
+     r"error: K = 5e-324 maps to alpha = inf at m = 100\.0, past the float "
+     r"range", []),
+    ("classify --m 2 --p 0.5 --N 4 --alpha 1e-300 --out x", 2,
+     r"error: alpha = 1e-300 maps to K = inf at m = 2\.0, past the float "
+     r"range", []),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, err, files", CONTRACT,
-    ids=[row[0].replace(" --", ",").replace(" ", "=") for row in CONTRACT])
+    ids=[row[0].replace(" --", ",").replace(" ", "=") or "no-command"
+         for row in CONTRACT])
 def test_cli_contract(tmp_path, capsys, monkeypatch, argv, code, err, files):
-    # in-process, warnings as errors, with an alarm in place of a timeout
+    # in-process, warnings as errors, with an alarm in place of a timeout;
+    # a flag error is found before any orbit is shot or profile rebuilt
     monkeypatch.chdir(tmp_path)
+    if code == cli.EXIT_FLAGS:
+        def no_solve(*args, **kwargs):
+            raise AssertionError(f"{argv!r} solved before its flag error")
+
+        for name in ("cli.integrate_from_p0", "cli.integrate",
+                     "cli.reconstruct", "shooting.integrate_from_p0"):
+            monkeypatch.setattr("selfsim." + name, no_solve)
     with alarm(60):
         assert cli.main(argv.split()) == code
-    stderr = capsys.readouterr().err
+    stdout, stderr = capsys.readouterr()
+    if code == cli.EXIT_FLAGS:
+        assert stdout == ""
     if err is None:
         assert stderr == ""
     else:
         assert re.fullmatch(err + "\n", stderr), stderr
     assert sorted(f.name for f in tmp_path.iterdir()) == files
+
+
+# sigma is derived from m and p, so its flag is refused whatever its value:
+# at the derived value and at one that does not match it
+@pytest.mark.parametrize("flag, value", [("--sigma", "1.0")])
+def test_tolerance_flags_are_gone(capsys, flag, value):
+    code, out, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
+                         "--N", "4", "--K", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
+
+
+def test_sigma_mismatch_exit_code(capsys):
+    code, out, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
+                         "--N", "4", "--K", "0.1", "--sigma", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unrecognized arguments: --sigma 0.3\n"
 
 
 def test_classify_stdout(capsys):
@@ -206,28 +318,6 @@ def test_sweep_unresolved_exit_code(tmp_path, capsys, monkeypatch, m):
     assert "unresolved" in err
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("sweep", ("--k-count", "3")),
-    ("profile", ("--K", "0.5")),
-    ("portrait", ("--K", "0.1")),
-    ("tw", ("--K", "0.5")),
-], ids=["sweep", "profile", "portrait", "tw"])
-def test_without_out_exits_before_shooting(capsys, monkeypatch, command,
-                                           flags):
-    # argparse requires --out, so no orbit is shot and no profile rebuilt
-    def no_solve(*args, **kwargs):
-        raise AssertionError(f"{command} solved before checking --out")
-
-    for name in ("integrate_from_p0", "integrate", "reconstruct"):
-        monkeypatch.setattr(cli, name, no_solve)
-    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", no_solve)
-    code, out, err = run(capsys, command, "--m", "2", "--p", "0.5",
-                         "--N", "4", *flags)
-    assert code == 2
-    assert out == ""
-    assert "the following arguments are required: --out" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("classify", "--m", "2", "--p", "0.5", "--N", "4", "--K", "8"),
     ("find-kstar", "--m", "1.5", "--p", "0.5", "--N", "3", "--tol-k", "1e-4"),
@@ -240,23 +330,6 @@ def test_out_is_a_prefix(tmp_path, capsys, argv):
     assert out == ""
     assert sorted(f.name for f in tmp_path.iterdir()) == ["P.json"]
     assert (tmp_path / "P.json").read_text() == stdout_doc
-
-
-@pytest.mark.parametrize("flags", [
-    ("--k-min", "0"), ("--k-max", "-1"), ("--k-count", "-3"),
-    ("--k-count", "0"), ("--k-max", "inf"),
-], ids=["k-min-0", "k-max-negative", "k-count-negative", "k-count-0",
-        "k-max-inf"])
-def test_sweep_rejects_bad_k_grid(tmp_path, capsys, monkeypatch, flags):
-    def no_orbits(*args, **kwargs):
-        raise AssertionError("sweep shot an orbit on an invalid K grid")
-
-    monkeypatch.setattr("selfsim.shooting.integrate_from_p0", no_orbits)
-    code, _, err = run(capsys, "sweep", "--m", "2", "--p", "0.5", "--N", "4",
-                       *flags, "--out", str(tmp_path / "sw"))
-    assert code == 2
-    assert "K grid" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_grid_is_python_floats():
@@ -318,24 +391,6 @@ def test_portrait_files(tmp_path, capsys):
     assert [f.name for f in files] == ["por_p0.csv"] + [
         f"por_start{i}.csv" for i in range(5)]
     assert all("eta,X,Y" in f.read_text() for f in files)
-
-
-def test_sigma_mismatch_exit_code(capsys):
-    code, _, err = run(capsys, "classify", "--m", "2", "--p", "0.5", "--N", "4",
-                       "--K", "0.1", "--sigma", "0.3")
-    assert code == 2
-    assert "sigma" in err
-
-
-def test_missing_k_exit_code(capsys):
-    code, _, _ = run(capsys, "classify", "--m", "2", "--p", "0.5", "--N", "4")
-    assert code == 2
-
-
-def test_k_and_alpha_mutually_exclusive(capsys):
-    code, _, _ = run(capsys, "classify", "--m", "2", "--p", "0.5", "--N", "4",
-                     "--K", "0.1", "--alpha", "4")
-    assert code == 2
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
@@ -433,69 +488,14 @@ def test_profile_fit_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "20 samples" in err
 
 
-@pytest.mark.parametrize("m, p, N, K", [
-    ("3", "0.5", "3", "0.001"),
-    ("5", "0.9", "3", "0.01"),
-    ("1.5", "0.9", "1", "0.001"),
-    ("2", "0.5", "4", "0.0001"),
-])
-def test_profile_at_small_k_exit_code(tmp_path, capsys, m, p, N, K):
-    # the interface lies past the float range; this once escaped main as an
-    # OverflowError, or wrote overflow warnings to stderr
-    code, _, err = run(capsys, "profile", "--m", m, "--p", p, "--N", N,
-                       "--K", K, "--out", str(tmp_path / "x"))
-    assert code == 3
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"K = {float(K):g}" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command, flags, name", [
-    ("profile", ("--m", "2", "--K", "inf"), "K"),
-    ("tw", ("--m", "2", "--K", "inf"), "K"),
-    ("classify", ("--m", "2", "--K", "inf"), "K"),
-    ("profile", ("--m", "2", "--K", "1e308"), "K"),
-    ("classify", ("--m", "100", "--K", "5e-324"), "K"),
-    ("classify", ("--m", "2", "--alpha", "1e-300"), "alpha"),
-    ("classify", ("--m", "2", "--alpha", "inf"), "alpha"),
-    ("classify", ("--m", "inf", "--K", "1"), "m"),
-], ids=["profile-K-inf", "tw-K-inf", "classify-K-inf",
-        "profile-K-past-alpha-range", "classify-K-past-alpha-range",
-        "classify-alpha-past-K-range",
-        "classify-alpha-inf", "classify-m-inf"])
-def test_nonfinite_parameter_exit_code(tmp_path, capsys, command, flags, name):
-    # the parameter is rejected by name where it enters, before any solve;
-    # an exception escaping main here would be a traceback at the console
-    code, _, err = run(capsys, command, *flags, "--p", "0.5", "--N", "4",
-                       "--out", str(tmp_path / "x"))
-    assert code == 2
-    assert err.startswith(f"error: {name} ")
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command, m, files", [("classify", "1.0002", 1),
-                                               ("portrait", "1.0001", 6)])
-def test_near_m_one_exits_0(tmp_path, capsys, command, m, files):
+def test_near_m_one_exits_0(tmp_path, capsys):
     # q = (m-p)/(m-1) passes 2500 here, and K X^q in a stage of the X-Y
     # phase once escaped main as an OverflowError
-    code, _, err = run(capsys, command, "--m", m, "--p", "0.5", "--N", "3",
-                       "--K", "1", "--out", str(tmp_path / "x"))
+    code, _, err = run(capsys, "classify", "--m", "1.0002", "--p", "0.5",
+                       "--N", "3", "--K", "1", "--out", str(tmp_path / "x"))
     assert code == 0 and err == ""
-    assert len(list(tmp_path.iterdir())) == files
-    if command == "classify":
-        assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
-
-
-@pytest.mark.parametrize("command", ["profile", "tw"])
-def test_near_m_one_overflow_exit_code(tmp_path, capsys, command):
-    # f = (...)^(1/(m-1)) passes the float range; this once wrote inf (and
-    # for tw nan) samples and numpy's overflow warnings, and exited 0
-    code, _, err = run(capsys, command, "--m", "1.0002", "--p", "0.9998",
-                       "--N", "3", "--K", "1e-8", "--out", str(tmp_path / "x"))
-    assert code == 3
-    assert err == ("error: profile at K = 1e-08 lies past the float range "
-                   "(f overflows)\n")
-    assert list(tmp_path.iterdir()) == []
+    assert [f.name for f in tmp_path.iterdir()] == ["x.json"]
+    assert json.loads((tmp_path / "x.json").read_text())["tag"] == "ToQ3"
 
 
 def test_sweep_near_m_one_is_quiet(tmp_path, capsys):
@@ -517,19 +517,6 @@ def test_classify_unresolved_near_critical_exit_code(capsys, N):
     assert err == "orbit endpoint unresolved\n"
     assert json.loads(out)["diagnostics"] == (
         "no stop fired by the ln X cap 600.0")
-
-
-@pytest.mark.parametrize("flag, value", [("--rel-tol", "1e-12"),
-                                         ("--abs-tol", "1e-14"),
-                                         # sigma is derived from m and p;
-                                         # its flag let NaN through
-                                         ("--sigma", "1.0"),
-                                         ("--sigma", "nan")])
-def test_tolerance_flags_are_gone(capsys, flag, value):
-    code, _, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
-                       "--N", "4", "--K", "1", flag, value)
-    assert code == 2
-    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_readme_library_usage_runs(capsys):
