@@ -155,17 +155,19 @@ def _cmd_find_kstar(params: ModelParams, args):
     return fields, [], failure
 
 
-def _k_grid(args) -> list[float]:
+def _k_grid(params: ModelParams, args) -> list[float]:
     k_min = positive_finite("the K grid's --k-min", args.k_min)
     k_max = positive_finite("the K grid's --k-max", args.k_max)
     if args.k_count < 1:
         raise DomainError("the K grid needs --k-count >= 1, "
                           f"got {args.k_count}")
+    for K in (k_min, k_max):  # alpha is monotone in K: the ends suffice
+        alpha_beta_from_k(params, K)
     return np.geomspace(k_min, k_max, args.k_count).tolist()
 
 
 def _cmd_sweep(params: ModelParams, args):
-    grid = _k_grid(args)
+    grid = _k_grid(params, args)
     reg = regime(params)
     if reg is Regime.SUBCRITICAL:
         report = nonexistence_sweep(params, grid)

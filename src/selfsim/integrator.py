@@ -50,7 +50,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from selfsim.params import (DomainError, ModelParams, Regime,
-                            positive_finite, regime)
+                            alpha_beta_from_k, positive_finite, regime)
 from selfsim.phaseplane import (
     PhasePoint,
     critical_slopes,
@@ -139,7 +139,7 @@ def launch_from_p0(params: ModelParams, K: float) -> PhasePoint:
 
         Y(X) = (2/N)*X - [K(m-1) / (N(m-1) + 2(1-p))] * X^((m-p)/(m-1))
     """
-    K = positive_finite("K", K)
+    K = alpha_beta_from_k(params, K).K  # past alpha's range K(m-1) overflows
     delta = LAUNCH_OFFSET
     m, N, q = params.m, params.N, params.power_ratio
     corr = K * (m - 1.0) / (N * (m - 1.0) + 2.0 * (1.0 - params.p))

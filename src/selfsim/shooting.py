@@ -50,13 +50,14 @@ def classify(params: ModelParams, K: float) -> OrbitTag:
     return integrate_from_p0(params, K).termination.tag
 
 
-_K_MIN, _K_MAX = 1e-6, 1e6
-
-
 def find_k_star(
     params: ModelParams, tol_K: float = 1e-6
 ) -> ClassificationReport:
     """Bracket and bisect the Q1 -> Q3 transition in K.
+
+    K* exists for every m + p >= 2, so the bracket search divides K by 8
+    until a probe ends at Q1, and multiplies it by 8 until one ends at Q3,
+    over all K with an alpha; past them a ``BracketError`` names the last K.
 
     ``tol_K`` is relative and must be positive and finite: bisection stops
     once K_hi - K_lo < tol_K * K_lo, or earlier, with a ``notes`` entry, if
@@ -85,20 +86,23 @@ def find_k_star(
                 )
         return tag
 
+    def expand(K: float, factor: float, tag: OrbitTag, failure: str) -> float:
+        while probe(K) is not tag:
+            try:
+                alpha_beta_from_k(params, K * factor)
+            except DomainError:
+                raise BracketError(f"{failure} K={K}") from None
+            K *= factor
+        return K
+
     # expanding search for a (ToQ1, ToQ3) bracket
     if reg is Regime.CRITICAL:
         K0 = 0.25 * (params.m - 1.0) ** 2  # analytic transition; start nearby
         K_lo, K_hi = 0.5 * K0, 2.0 * K0
     else:
         K_lo = K_hi = 1.0
-    while probe(K_lo) is not OrbitTag.TO_Q1:
-        K_lo /= 8.0
-        if K_lo < _K_MIN:
-            raise BracketError(f"no Q1-connection found above K={_K_MIN}")
-    while probe(K_hi) is not OrbitTag.TO_Q3:
-        K_hi *= 8.0
-        if K_hi > _K_MAX:
-            raise BracketError(f"no Q3-connection found below K={_K_MAX}")
+    K_lo = expand(K_lo, 0.125, OrbitTag.TO_Q1, "no Q1-connection found above")
+    K_hi = expand(K_hi, 8.0, OrbitTag.TO_Q3, "no Q3-connection found below")
 
     notes = ""
     while K_hi - K_lo >= tol_K * K_lo:
@@ -151,6 +155,8 @@ def nonexistence_sweep(
         raise DomainError("nonexistence sweep applies to m + p < 2 only")
     if len(K_grid) == 0:
         raise DomainError("nonexistence sweep needs a nonempty K grid")
+    for K in K_grid:  # every K has an alpha before any orbit is shot
+        alpha_beta_from_k(params, K)
     probes = tuple(sorted((K, classify(params, K)) for K in K_grid))
     bad = [K for K, tag in probes
            if tag not in (OrbitTag.TO_Q3, OrbitTag.UNRESOLVED)]

@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+from conftest import K_STAR_SUPER, SUPER
 
 from selfsim import integrator
 from selfsim.integrator import (
@@ -32,10 +33,6 @@ from selfsim.solution import (
     tw_residual,
     tw_residual_scale,
 )
-
-SUPER = ModelParams(2.0, 0.5, 4)
-
-K_STAR_SUPER = 2.5488157
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import alarm
+from conftest import SUPER, alarm
 
 from selfsim import cli
 from selfsim.integrator import OrbitEnd, OrbitTag, integrate_from_p0
@@ -36,6 +36,11 @@ CONTRACT = [
     # the probes ride the Q4 ray, which repels at only 1/(m-1); they once
     # met no stop by the ln X cap and the bisection stopped early, exit 3
     ("find-kstar --m 50 --p 0.5 --N 3", 0, None, []),
+    # K* is about N*m; the upper search once gave up at K = 1e6, exit 3.  It
+    # now runs over every K with an alpha, and at m = 1e300 K* has none
+    ("find-kstar --m 1e5 --p 0.5 --N 3", 0, None, []),
+    ("find-kstar --m 1e300 --p 0.5 --N 3", 3,
+     r"error: no Q3-connection found below K=134217728\.0", []),
     ("find-kstar --m 2 --p 0.5 --N 4 --tol-k 0", 2,
      r"error: tol_K must be positive and finite, got 0\.0", []),
     ("find-kstar --m 1.2 --p 0.5 --N 3", 2,
@@ -125,6 +130,12 @@ CONTRACT = [
      r"error: unrecognized arguments: --abs-tol 1e-14", []),
     ("classify --m 2 --p 0.5 --N 4 --K 1 --sigma nan", 2,
      r"error: unrecognized arguments: --sigma nan", []),
+    # sigma's flag is refused whatever its value: at the derived value and
+    # at one that does not match it
+    ("classify --m 2 --p 0.5 --N 4 --K 1 --sigma 1.0", 2,
+     r"error: unrecognized arguments: --sigma 1\.0", []),
+    ("classify --m 2 --p 0.5 --N 4 --K 0.1 --sigma 0.3", 2,
+     r"error: unrecognized arguments: --sigma 0\.3", []),
     ("sweep --m 2 --p 0.5 --N 4 --k-min 0 --out x", 2,
      r"error: the K grid's --k-min must be positive and finite, got 0\.0", []),
     ("sweep --m 2 --p 0.5 --N 4 --k-max -1 --out x", 2,
@@ -136,6 +147,12 @@ CONTRACT = [
      r"error: the K grid needs --k-count >= 1, got -3", []),
     ("sweep --m 2 --p 0.5 --N 4 --k-count 0 --out x", 2,
      r"error: the K grid needs --k-count >= 1, got 0", []),
+    # K (m-1) of the launch overflows at --k-max; the sweep once shot its
+    # orbits and then failed with "Y must be finite, got -inf"
+    ("sweep --m 1e300 --p 0.5 --N 3 --k-min 1 --k-max 1e10 --k-count 3 "
+     "--out x", 2,
+     r"error: K = 10000000000\.0 maps to alpha = 0\.0 at m = 1e\+300, past "
+     r"the float range", []),
     # a parameter is rejected by name where it enters; an exception escaping
     # main here would be a traceback at the console
     ("profile --m 2 --p 0.5 --N 4 --K inf --out x", 2,
@@ -185,25 +202,6 @@ def test_cli_contract(tmp_path, capsys, monkeypatch, argv, code, err, files):
     else:
         assert re.fullmatch(err + "\n", stderr), stderr
     assert sorted(f.name for f in tmp_path.iterdir()) == files
-
-
-# sigma is derived from m and p, so its flag is refused whatever its value:
-# at the derived value and at one that does not match it
-@pytest.mark.parametrize("flag, value", [("--sigma", "1.0")])
-def test_tolerance_flags_are_gone(capsys, flag, value):
-    code, out, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
-                         "--N", "4", "--K", "1", flag, value)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: unrecognized arguments: {flag} {value}\n"
-
-
-def test_sigma_mismatch_exit_code(capsys):
-    code, out, err = run(capsys, "classify", "--m", "2", "--p", "0.5",
-                         "--N", "4", "--K", "0.1", "--sigma", "0.3")
-    assert code == 2
-    assert out == ""
-    assert err == "error: unrecognized arguments: --sigma 0.3\n"
 
 
 def test_classify_stdout(capsys):
@@ -334,7 +332,7 @@ def test_out_is_a_prefix(tmp_path, capsys, argv):
 
 def test_sweep_grid_is_python_floats():
     args = SimpleNamespace(k_min=0.01, k_max=100.0, k_count=5)
-    assert [type(k) for k in cli._k_grid(args)] == [float] * 5
+    assert [type(k) for k in cli._k_grid(SUPER, args)] == [float] * 5
 
 
 def test_profile_files(tmp_path, capsys):
@@ -416,8 +414,8 @@ def test_find_kstar_unresolved_guard_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("tag, message", [
-    (OrbitTag.TO_Q3, "no Q1-connection found above K=1e-06"),
-    (OrbitTag.TO_Q1, "no Q3-connection found below K=1000000.0"),
+    (OrbitTag.TO_Q3, "no Q1-connection found above K=5e-324"),
+    (OrbitTag.TO_Q1, "no Q3-connection found below K=1.1235582092889474e+307"),
 ], ids=["all-ToQ3", "all-ToQ1"])
 def test_find_kstar_no_bracket_exit_code(capsys, monkeypatch, tag, message):
     monkeypatch.setattr("selfsim.shooting.classify", lambda params, K: tag)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import CRIT, SUB, SUPER
 from scipy.integrate import DOP853, solve_ivp
 
 from selfsim import integrator
@@ -22,9 +23,6 @@ from selfsim.integrator import (
 from selfsim.params import DomainError, ModelParams
 from selfsim.phaseplane import PhasePoint, planar_field
 
-SUPER = ModelParams(2.0, 0.5, 4)
-CRIT = ModelParams(1.5, 0.5, 3)
-SUB = ModelParams(1.2, 0.5, 3)
 #: the supercritical trap's diagnostics up to its ln X
 TRAPPED = "trapped above the lower root of u^2 + (m-1)u + K X^(q-2)"
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CRIT, SUB, SUPER
 
 from selfsim.params import DomainError, ModelParams
 from selfsim.phaseplane import (
@@ -18,9 +19,6 @@ from selfsim.phaseplane import (
     planar_field,
 )
 
-SUPER = ModelParams(2.0, 0.5, 4)
-CRIT = ModelParams(1.5, 0.5, 3)
-SUB = ModelParams(1.2, 0.5, 3)
 
 
 def test_vector_field_fixed_points():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import alarm
+from conftest import CRIT, K_STAR_SUPER, SUPER, alarm
 from scipy.integrate import OdeSolution
 
 from selfsim import integrator
@@ -29,10 +29,6 @@ from selfsim.profile import (
 )
 from selfsim.solution import evaluate_u, make_solution
 
-SUPER = ModelParams(2.0, 0.5, 4)
-CRIT = ModelParams(1.5, 0.5, 3)
-
-K_STAR_SUPER = 2.5488157
 #: K* of (3, 1/2, 3) and of (5, 0.9, 3), bisected with find_k_star
 K_STAR_M3 = 8.344726
 K_STAR_M5 = 14.631461298134003

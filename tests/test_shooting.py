@@ -3,9 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from conftest import CRIT, K_STAR_SUPER, SUB, SUPER
 
 from selfsim import shooting
-from selfsim.integrator import OrbitTag
+from selfsim.integrator import (
+    OrbitTag,
+    integrate_from_p0,
+    orbit_monotonicity_check,
+)
 from selfsim.params import (
     DomainError,
     ModelParams,
@@ -19,14 +24,6 @@ from selfsim.shooting import (
     find_k_star,
     nonexistence_sweep,
 )
-
-SUPER = ModelParams(2.0, 0.5, 4)
-CRIT = ModelParams(1.5, 0.5, 3)
-SUB = ModelParams(1.2, 0.5, 3)
-
-# regression value for the supercritical reference case, produced by this
-# code at tol_K=1e-6 (no analytic value exists for it)
-K_STAR_SUPER = 2.5488157
 
 
 def test_classify_reference_cases():
@@ -152,10 +149,12 @@ def test_find_k_star_stops_at_float_resolution(monkeypatch):
 
 
 @pytest.mark.parametrize("K_star, message", [
-    (0.0, "no Q1-connection found above K=1e-06"),
-    (math.inf, "no Q3-connection found below K=1000000.0"),
+    (0.0, "no Q1-connection found above K=5e-324"),
+    (math.inf, "no Q3-connection found below K=1.1235582092889474e+307"),
 ], ids=["all-ToQ3", "all-ToQ1"])
 def test_find_k_star_bracket_search_gives_up(monkeypatch, K_star, message):
+    # the searches run over every K with an alpha, 8^-358 and 8^340 at
+    # (2, 1/2, 4); they once gave up at a guessed 1e-6 and 1e6
     monkeypatch.setattr(shooting, "classify", _step_at(K_star))
     with pytest.raises(BracketError, match=f"^{re.escape(message)}$"):
         find_k_star(SUPER)
@@ -240,9 +239,33 @@ def test_classify_where_q_rounds_to_one(m):
 
 
 def test_find_k_star_where_q_rounds_to_one():
-    with pytest.raises(BracketError,
-                       match=r"no Q3-connection found below K=1000000\.0"):
-        find_k_star(ModelParams(1e16, 0.5, 3))
+    # K* is about N*m here; the upper search once gave up at K = 1e6
+    report = find_k_star(ModelParams(1e16, 0.5, 3))
+    assert report.notes == ""
+    assert report.K_star / 3e16 == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("shoot", [
+    lambda: integrate_from_p0(ModelParams(1e300, 0.5, 3), 1e10),
+    lambda: classify(ModelParams(1e300, 0.5, 3), 1e10),
+    lambda: orbit_monotonicity_check(ModelParams(1e300, 0.5, 3), 1e10, 1e11),
+], ids=["integrate_from_p0", "classify", "orbit_monotonicity_check"])
+def test_p0_orbit_needs_a_k_with_an_alpha(shoot):
+    # K(m-1) of the launch overflows here; the error once named Y = -inf
+    with pytest.raises(DomainError,
+                       match=r"^K = 10000000000\.0 maps to alpha = 0\.0 "):
+        shoot()
+
+
+def test_nonexistence_sweep_checks_its_grid_before_shooting(monkeypatch):
+    # m K overflows at the grid's last K; the sweep once shot both orbits
+    # and returned a report
+    def no_orbit(params, K):
+        raise AssertionError(f"orbit shot at K = {K}")
+
+    monkeypatch.setattr(shooting, "classify", no_orbit)
+    with pytest.raises(DomainError, match=r"^K = 1\.5e\+308 maps to alpha"):
+        nonexistence_sweep(ModelParams(1.5, 0.3, 3), [1.0, 1.5e308])
 
 
 def test_nonexistence_sweep_rejects_supercritical():
@@ -258,13 +281,13 @@ def test_alpha_star_matches_analytic_formula():
     assert report.alpha_star == pytest.approx(8.0 * math.sqrt(1.5), rel=1e-3)
 
 
-def _domain_sample(count, seed=7):
-    """(m, p, N) with m + p >= 2, m log-uniform in (1.001, 200),
+def _domain_sample(count, seed=7, m_lo=1.001, m_hi=200.0):
+    """(m, p, N) with m + p >= 2, m log-uniform in (m_lo, m_hi),
     p uniform in (0.01, 0.99) and N in 1-4, by rejection."""
     rng = np.random.default_rng(seed)
     points = []
     while len(points) < count:
-        m = math.exp(rng.uniform(math.log(1.001), math.log(200.0)))
+        m = math.exp(rng.uniform(math.log(m_lo), math.log(m_hi)))
         p = rng.uniform(0.01, 0.99)
         N = int(rng.integers(1, 5))
         if m + p >= 2.0:
@@ -273,14 +296,20 @@ def _domain_sample(count, seed=7):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("m, p, N", _domain_sample(30),
-                         ids=lambda x: f"{x:.4g}")
+@pytest.mark.parametrize(
+    "m, p, N",
+    _domain_sample(30) + _domain_sample(15, seed=2026, m_lo=200.0,
+                                        m_hi=1e6),
+    ids=lambda x: f"{x:.4g}")
 def test_find_k_star_converges_across_the_domain(m, p, N):
-    # 30 points keep this at about 1.8 s of Tier-1
+    # the 15 points with m in (200, 1e6) add about 1.4 s of Tier-1.  K*
+    # tends to N*m as m grows; the upper search once gave up at K = 1e6
     report = find_k_star(ModelParams(m, p, N), tol_K=1e-6)
     assert report.notes == ""
     lo, hi = report.K_star_bracket
     assert hi - lo < 1e-6 * lo
+    if m >= 1e3:
+        assert abs(report.K_star / (N * m) - 1.0) < 0.02
 
 
 def test_k_star_tends_to_the_critical_value_as_m_plus_p_falls_to_2():

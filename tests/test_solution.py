@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import K_STAR_SUPER, SUPER
 from scipy.integrate import quad
 
 from selfsim.params import (
@@ -27,10 +28,6 @@ from selfsim.solution import (
     tw_residual_scale,
     tw_value_on,
 )
-
-SUPER = ModelParams(2.0, 0.5, 4)
-
-K_STAR_SUPER = 2.5488157
 
 
 @pytest.fixture(scope="module")
